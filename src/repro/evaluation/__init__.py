@@ -2,6 +2,7 @@
 
 from repro.evaluation.metrics import (
     ConfusionMatrix,
+    MatrixScores,
     accuracy_score,
     cohen_kappa_score,
     f1_score,
@@ -20,6 +21,7 @@ from repro.evaluation.complexity import sliding_window_aggregate, summarize_trac
 
 __all__ = [
     "ConfusionMatrix",
+    "MatrixScores",
     "accuracy_score",
     "precision_score",
     "recall_score",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.base import StreamClassifier
 from repro.evaluation.complexity import summarize_trace
-from repro.evaluation.metrics import ConfusionMatrix
+from repro.evaluation.metrics import ConfusionMatrix, MatrixScores, check_average
 from repro.streams.base import Stream
 
 
@@ -73,7 +73,8 @@ class HoldoutEvaluator:
     train_batch_size:
         Batch size used for the training phase.
     f1_average:
-        Averaging mode of the F1 measure.
+        Averaging mode of the F1 measure: ``"macro"``, ``"weighted"`` or
+        ``"binary"`` (the last only on streams with exactly two classes).
     """
 
     def __init__(
@@ -94,7 +95,7 @@ class HoldoutEvaluator:
         self.test_every = int(test_every)
         self.test_size = int(test_size)
         self.train_batch_size = int(train_batch_size)
-        self.f1_average = f1_average
+        self.f1_average = check_average(f1_average)
 
     def evaluate(
         self,
@@ -105,6 +106,9 @@ class HoldoutEvaluator:
     ) -> HoldoutResult:
         """Alternate training phases and frozen holdout evaluations."""
         classes = stream.classes
+        check_average(self.f1_average, classes)
+        # Only counts: every holdout is scored on its own batch matrix.
+        confusion = ConfusionMatrix(classes)
         result = HoldoutResult(
             model_name=model_name or type(model).__name__,
             dataset_name=dataset_name
@@ -134,10 +138,9 @@ class HoldoutEvaluator:
                 min(self.test_size, stream.n_remaining_samples())
             )
             predictions = model.predict(X_test)
-            confusion = ConfusionMatrix(classes)
-            confusion.update(y_test, predictions)
-            result.f1_trace.append(confusion.f1(self.f1_average))
-            result.accuracy_trace.append(confusion.accuracy())
+            scores = MatrixScores(confusion.counts(y_test, predictions), classes)
+            result.f1_trace.append(scores.f1(self.f1_average))
+            result.accuracy_trace.append(scores.accuracy())
             result.n_splits_trace.append(model.complexity().n_splits)
             result.n_test_samples += len(y_test)
         return result

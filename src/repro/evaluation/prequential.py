@@ -6,7 +6,9 @@ the current model (predictions are scored) and then to train it.  Per
 iteration the evaluator records the F1 measure, the accuracy, the kappa
 statistics (Cohen, kappa-M, kappa-temporal), the model's complexity (number
 of splits and parameters under the paper's counting rules) and the
-wall-clock time of the test+train step.
+wall-clock time of the test+train step.  Each batch is counted once into a
+confusion matrix, which is added to the run's overall matrix and scored on
+its own; every per-iteration metric comes from that one matrix.
 
 Beyond the paper's protocol the evaluator understands *label realism*
 (:func:`repro.streams.scenarios.label_realism`): streams wrapped in a
@@ -31,7 +33,7 @@ import numpy as np
 
 from repro.base import StreamClassifier
 from repro.evaluation.complexity import sliding_window_aggregate, summarize_trace
-from repro.evaluation.metrics import ConfusionMatrix, kappa_temporal_score
+from repro.evaluation.metrics import ConfusionMatrix, MatrixScores, check_average
 from repro.persistence.mixin import PersistableStateMixin
 from repro.streams.base import Stream
 from repro.streams.scenarios import LabelRealism, label_realism
@@ -195,6 +197,7 @@ class PrequentialSession(PersistableStateMixin):
         check_in_range(batch_fraction, "batch_fraction", 0.0, 1.0, inclusive=False)
         if warmup_batches < 1:
             raise ValueError(f"warmup_batches must be >= 1, got {warmup_batches!r}.")
+        check_average(f1_average, stream.classes)
         if stream.position != 0:
             # A partially (or fully) consumed stream would silently produce a
             # truncated or empty result; rewind so suite-level stream reuse
@@ -276,16 +279,15 @@ class PrequentialSession(PersistableStateMixin):
                 y_scored, pred_scored = y, predictions
             else:
                 y_scored, pred_scored = y[available], predictions[available]
-            batch_confusion = ConfusionMatrix(classes)
-            if len(y_scored):
-                batch_confusion.update(y_scored, pred_scored)
-                self.confusion.update(y_scored, pred_scored)
-            result.f1_trace.append(batch_confusion.f1(self.f1_average))
-            result.accuracy_trace.append(batch_confusion.accuracy())
-            result.kappa_trace.append(batch_confusion.kappa())
-            result.kappa_m_trace.append(batch_confusion.kappa_m())
+            batch = self.confusion.counts(y_scored, pred_scored)
+            self.confusion.matrix += batch
+            scores = MatrixScores(batch, classes)
+            result.f1_trace.append(scores.f1(self.f1_average))
+            result.accuracy_trace.append(scores.accuracy())
+            result.kappa_trace.append(scores.kappa())
+            result.kappa_m_trace.append(scores.kappa_m())
             result.kappa_temporal_trace.append(
-                kappa_temporal_score(y_scored, pred_scored, self.last_label)
+                scores.kappa_temporal(y_scored, self.last_label)
             )
             result.n_scored_samples += len(y_scored)
         self._train(X, y, start_index, available)
@@ -405,7 +407,9 @@ class PrequentialEvaluator:
         Averaging mode of the F1 measure.  The paper does not state the
         averaging explicitly; ``"weighted"`` (the default here) is robust to
         the strong class imbalance of several data sets, ``"macro"`` and
-        ``"binary"`` are also available.
+        ``"binary"`` are also available.  Any other value is rejected here,
+        and ``"binary"`` is rejected when a session starts on a stream that
+        does not have exactly two classes.
     warmup_batches:
         Number of initial batches used purely for training (no scoring);
         the first batch can never be scored because the model has not seen
@@ -426,7 +430,7 @@ class PrequentialEvaluator:
             raise ValueError(f"warmup_batches must be >= 1, got {warmup_batches!r}.")
         self.batch_fraction = float(batch_fraction)
         self.batch_size = batch_size
-        self.f1_average = f1_average
+        self.f1_average = check_average(f1_average)
         self.warmup_batches = int(warmup_batches)
 
     def session(

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.base import ComplexityReport
 from repro.telemetry import TREE_SPLIT, TELEMETRY
-from repro.trees.base import LeafNode, SplitNode, iter_nodes, tree_depth
+from repro.trees.base import LeafNode, SplitNode
 from repro.trees.hoeffding import hoeffding_bound
 from repro.trees.observers import SplitSuggestion
 from repro.trees.vfdt import HoeffdingTreeClassifier
@@ -301,40 +300,3 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
             TELEMETRY.counter(
                 "repro.tree.splits_total", model=type(self).__name__
             ).inc()
-
-    # ------------------------------------------------------- interpretability
-    def complexity(self) -> ComplexityReport:
-        if self.root is None:
-            return ComplexityReport(n_splits=0, n_parameters=0)
-        nodes = iter_nodes(self.root)
-        n_inner = sum(1 for node in nodes if isinstance(node, SplitNode))
-        n_leaves = sum(1 for node in nodes if isinstance(node, LeafNode) and not
-                       self._is_stats_holder(node))
-        n_classes = max(self.n_classes_, 2)
-        if self.leaf_prediction == "mc":
-            leaf_splits, leaf_params = 0, 1
-        else:
-            leaf_splits = 1 if n_classes == 2 else n_classes
-            leaf_params = self.n_features_ * (1 if n_classes == 2 else n_classes)
-        return ComplexityReport(
-            n_splits=n_inner + leaf_splits * n_leaves,
-            n_parameters=n_inner + leaf_params * n_leaves,
-            n_nodes=n_inner + n_leaves,
-            n_leaves=n_leaves,
-            depth=tree_depth(self.root),
-        )
-
-    def _is_stats_holder(self, leaf: LeafNode) -> bool:
-        """Stats holders of EFDT split nodes are not tree leaves."""
-        if self.root is None:
-            return False
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, EFDTSplitNode):
-                if node.stats is leaf:
-                    return True
-                stack.extend(child for child in node.children if child is not None)
-            elif isinstance(node, SplitNode):
-                stack.extend(child for child in node.children if child is not None)
-        return False

@@ -56,6 +56,21 @@ class TestHoldoutEvaluator:
         with pytest.raises(ValueError):
             HoldoutEvaluator(train_batch_size=0)
 
+    def test_unknown_f1_average_is_rejected(self):
+        with pytest.raises(ValueError, match="'micro'"):
+            HoldoutEvaluator(f1_average="micro")
+
+    def test_binary_f1_needs_a_two_class_stream(self):
+        """Rejected when the evaluation starts, before any training."""
+        stream = make_surrogate("covertype", scale=0.001, seed=0)
+        model = _RecordingClassifier()
+        evaluator = HoldoutEvaluator(test_every=100, test_size=50, f1_average="binary")
+        with pytest.raises(ValueError, match="exactly two classes"):
+            evaluator.evaluate(model, stream)
+        assert model.trained_rows == 0 and stream.position == 0
+        result = evaluator.evaluate(_RecordingClassifier(), _stream(300))
+        assert len(result.f1_trace) == 2
+
     def test_train_and_test_sample_accounting(self):
         """With test_every=1000 and test_size=200 on 2400 samples the split is
         1000 train / 200 test / 1000 train / 200 test."""

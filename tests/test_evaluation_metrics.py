@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.evaluation.complexity import sliding_window_aggregate, summarize_trace
 from repro.evaluation.metrics import (
     ConfusionMatrix,
+    MatrixScores,
     accuracy_score,
     cohen_kappa_score,
     f1_score,
@@ -37,6 +38,9 @@ class TestConfusionMatrix:
         matrix = ConfusionMatrix(np.array([0, 1]))
         with pytest.raises(ValueError, match="Unknown"):
             matrix.update(np.array([2]), np.array([0]))
+        with pytest.raises(ValueError, match="Unknown"):
+            matrix.counts(np.array([0]), np.array([2]))
+        assert matrix.total == 0
 
     def test_unsorted_classes_bin_correctly(self):
         """Regression: user-supplied unsorted classes must not mis-bin counts."""
@@ -83,6 +87,8 @@ class TestConfusionMatrix:
         matrix = ConfusionMatrix(np.array([0, 1]))
         with pytest.raises(ValueError):
             matrix.update(np.array([0, 1]), np.array([0]))
+        with pytest.raises(ValueError, match="inconsistent lengths"):
+            matrix.counts(np.array([0]), np.array([0, 1]))
 
     def test_perfect_predictions(self):
         matrix = ConfusionMatrix(np.array([0, 1, 2]))
@@ -237,8 +243,43 @@ class TestTraceAggregation:
 
 
 # ---------------------------------------------------------------------------
-# Kappa differential tests: brute-force references vs the vectorised metrics
+# Differential tests: brute-force references vs the counting pass and scorer
 # ---------------------------------------------------------------------------
+def _tally(classes, y_true, y_pred):
+    """The confusion matrix, one row at a time (rows: true, columns: predicted)."""
+    position = {label: index for index, label in enumerate(classes)}
+    tally = np.zeros((len(classes), len(classes)))
+    for t, p in zip(y_true, y_pred):
+        tally[position[t], position[p]] += 1
+    return tally
+
+
+def _accuracy_reference(y_true, y_pred):
+    n = len(y_true)
+    return sum(t == p for t, p in zip(y_true, y_pred)) / n if n else 0.0
+
+
+def _f1_reference(classes, y_true, y_pred, average):
+    """Averaged F1 from per-class true-positive, predicted and actual counts."""
+    per_class, support = [], []
+    for label in classes:
+        hits = sum(t == label and p == label for t, p in zip(y_true, y_pred))
+        predicted = sum(p == label for p in y_pred)
+        actual = sum(t == label for t in y_true)
+        precision = hits / predicted if predicted else 0.0
+        recall = hits / actual if actual else 0.0
+        total = precision + recall
+        per_class.append(2 * precision * recall / total if total else 0.0)
+        support.append(actual)
+    if average == "macro":
+        present = [f1 for f1, count in zip(per_class, support) if count]
+        return sum(present) / len(present) if present else 0.0
+    if average == "weighted":
+        n = sum(support)
+        return sum(f1 * count for f1, count in zip(per_class, support)) / n if n else 0.0
+    return per_class[classes.index(max(classes))]  # binary: the larger label
+
+
 def _kappa_reference(y_true, y_pred):
     """Cohen's kappa from first principles (per-class frequency products)."""
     n = len(y_true)
@@ -282,51 +323,108 @@ def _kappa_temporal_reference(y_true, y_pred, last_label=None):
     return (observed - reference) / (1.0 - reference)
 
 
-labelled_pairs = st.integers(1, 60).flatmap(
-    lambda n: st.tuples(
-        st.lists(st.integers(0, 4), min_size=n, max_size=n),
-        st.lists(st.integers(0, 4), min_size=n, max_size=n),
+#: Unsorted, non-contiguous class spaces of 2-25 labels, and a batch of
+#: 0-60 rows (empty batches included) labelled from each.
+labelled_batches = st.lists(
+    st.integers(-1000, 1000), min_size=2, max_size=25, unique=True
+).flatmap(
+    lambda classes: st.integers(0, 60).flatmap(
+        lambda n: st.tuples(
+            st.just(classes),
+            st.lists(st.sampled_from(classes), min_size=n, max_size=n),
+            st.lists(st.sampled_from(classes), min_size=n, max_size=n),
+        )
     )
 )
 
 
+def _scores(classes, y_true, y_pred):
+    """The scorer on one counting pass over the batch."""
+    counts = ConfusionMatrix(classes).counts(y_true, y_pred)
+    return MatrixScores(counts, np.asarray(classes))
+
+
 class TestKappaMetrics:
-    @given(pair=labelled_pairs)
+    @given(batch=labelled_batches)
     @settings(max_examples=120, deadline=None)
-    def test_cohen_kappa_matches_brute_force(self, pair):
-        y_true, y_pred = pair
-        assert cohen_kappa_score(y_true, y_pred) == pytest.approx(
-            _kappa_reference(y_true, y_pred), abs=1e-12
-        )
+    def test_counts_match_per_row_tally(self, batch):
+        classes, y_true, y_pred = batch
+        matrix = ConfusionMatrix(classes)
+        tally = _tally(classes, y_true, y_pred)
+        counts = matrix.counts(y_true, y_pred)
+        assert counts.dtype == matrix.matrix.dtype
+        np.testing.assert_array_equal(counts, tally)
+        matrix.update(y_true, y_pred).update(y_true, y_pred)
+        np.testing.assert_array_equal(matrix.matrix, 2 * tally)
 
-    @given(pair=labelled_pairs)
+    @given(batch=labelled_batches)
     @settings(max_examples=120, deadline=None)
-    def test_kappa_m_matches_brute_force(self, pair):
-        y_true, y_pred = pair
-        assert kappa_m_score(y_true, y_pred) == pytest.approx(
-            _kappa_m_reference(y_true, y_pred), abs=1e-12
-        )
+    def test_f1_and_accuracy_match_brute_force(self, batch):
+        classes, y_true, y_pred = batch
+        scores = _scores(classes, y_true, y_pred)
+        matrix = ConfusionMatrix(classes).update(y_true, y_pred)
+        averages = ["macro", "weighted"] + (["binary"] if len(classes) == 2 else [])
+        for average in averages:
+            expected = _f1_reference(classes, y_true, y_pred, average)
+            assert scores.f1(average) == pytest.approx(expected, abs=1e-12)
+            assert matrix.f1(average) == scores.f1(average)
+        for average in ("macro", "weighted"):
+            assert f1_score(y_true, y_pred, average) == pytest.approx(
+                _f1_reference(classes, y_true, y_pred, average), abs=1e-12
+            )
+        expected = _accuracy_reference(y_true, y_pred)
+        assert scores.accuracy() == pytest.approx(expected, abs=1e-12)
+        assert accuracy_score(y_true, y_pred) == pytest.approx(expected, abs=1e-12)
 
-    @given(
-        pair=labelled_pairs,
-        last_label=st.one_of(st.none(), st.integers(0, 4)),
-    )
+    @given(batch=labelled_batches)
     @settings(max_examples=120, deadline=None)
-    def test_kappa_temporal_matches_brute_force(self, pair, last_label):
-        y_true, y_pred = pair
+    def test_weighted_f1_keeps_numpys_average_reduction(self, batch):
+        scores = _scores(*batch)
+        if scores.total:
+            per_class = scores.per_class_f1()
+            assert scores.f1("weighted") == float(
+                np.average(per_class, weights=scores.support)
+            )
+
+    @given(batch=labelled_batches)
+    @settings(max_examples=120, deadline=None)
+    def test_cohen_kappa_matches_brute_force(self, batch):
+        classes, y_true, y_pred = batch
+        expected = _kappa_reference(y_true, y_pred)
+        assert cohen_kappa_score(y_true, y_pred) == pytest.approx(expected, abs=1e-12)
+        assert _scores(*batch).kappa() == pytest.approx(expected, abs=1e-12)
+
+    @given(batch=labelled_batches)
+    @settings(max_examples=120, deadline=None)
+    def test_kappa_m_matches_brute_force(self, batch):
+        classes, y_true, y_pred = batch
+        expected = _kappa_m_reference(y_true, y_pred)
+        assert kappa_m_score(y_true, y_pred) == pytest.approx(expected, abs=1e-12)
+        assert _scores(*batch).kappa_m() == pytest.approx(expected, abs=1e-12)
+
+    @given(batch=labelled_batches, data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_kappa_temporal_matches_brute_force(self, batch, data):
+        classes, y_true, y_pred = batch
+        last_label = data.draw(st.one_of(st.none(), st.sampled_from(classes)))
+        expected = _kappa_temporal_reference(y_true, y_pred, last_label)
         assert kappa_temporal_score(
             y_true, y_pred, last_label=last_label
-        ) == pytest.approx(
-            _kappa_temporal_reference(y_true, y_pred, last_label), abs=1e-12
-        )
+        ) == pytest.approx(expected, abs=1e-12)
+        scores = _scores(*batch)
+        assert scores.kappa_temporal(
+            np.asarray(y_true), last_label
+        ) == pytest.approx(expected, abs=1e-12)
 
-    @given(pair=labelled_pairs)
+    @given(batch=labelled_batches)
     @settings(max_examples=60, deadline=None)
-    def test_kappas_are_bounded_above_by_one(self, pair):
-        y_true, y_pred = pair
+    def test_kappas_are_bounded_above_by_one(self, batch):
+        classes, y_true, y_pred = batch
         assert cohen_kappa_score(y_true, y_pred) <= 1.0
         assert kappa_m_score(y_true, y_pred) <= 1.0
         assert kappa_temporal_score(y_true, y_pred) <= 1.0
+        scores = _scores(*batch)
+        assert max(scores.kappa(), scores.kappa_m()) <= 1.0
 
     def test_perfect_agreement_scores_one(self):
         y = [0, 1, 2, 0, 1, 2, 2, 0]

@@ -12,6 +12,7 @@ from repro.evaluation.prequential import (
 )
 from repro.streams import LabelDelayer, LabelMasker, label_realism
 from repro.streams.base import ArrayStream
+from repro.streams.realworld import make_surrogate
 from repro.streams.synthetic import SEAGenerator
 from repro.telemetry import LABEL_DELAYED_FLUSH, TELEMETRY
 
@@ -61,6 +62,29 @@ class TestPrequentialEvaluator:
             PrequentialEvaluator(batch_fraction=0.0)
         with pytest.raises(ValueError):
             PrequentialEvaluator(warmup_batches=0)
+
+    def test_unknown_f1_average_is_rejected_by_the_evaluator(self):
+        with pytest.raises(ValueError, match="'micro'"):
+            PrequentialEvaluator(f1_average="micro")
+
+    def test_unknown_f1_average_is_rejected_by_the_session(self):
+        stream = _binary_stream(n=100)
+        model = _CountingClassifier()
+        with pytest.raises(ValueError, match="'micro'"):
+            PrequentialSession(model, stream, f1_average="micro")
+        assert model.fit_calls == 0
+
+    def test_binary_f1_needs_a_two_class_stream(self):
+        """Rejected when the session starts, before any batch is trained on
+        or counted (7-class covertype)."""
+        stream = make_surrogate("covertype", scale=0.001, seed=0)
+        model = _CountingClassifier()
+        evaluator = PrequentialEvaluator(batch_size=50, f1_average="binary")
+        with pytest.raises(ValueError, match="exactly two classes"):
+            evaluator.evaluate(model, stream)
+        assert model.fit_calls == 0 and stream.position == 0
+        result = evaluator.evaluate(_CountingClassifier(), _binary_stream(n=100))
+        assert len(result.f1_trace) == 1
 
     def test_test_then_train_call_pattern(self):
         """Every batch trains once; every batch except the warm-up is scored."""

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.streams.synthetic import SEAGenerator
-from repro.trees.efdt import ExtremelyFastDecisionTreeClassifier
+from repro.trees.base import LeafNode, iter_nodes
+from repro.trees.efdt import EFDTSplitNode, ExtremelyFastDecisionTreeClassifier
 from repro.trees.hat import HoeffdingAdaptiveTreeClassifier
 from repro.trees.vfdt import HoeffdingTreeClassifier
 from tests.conftest import make_multiclass_blobs, make_xor
@@ -119,13 +120,24 @@ class TestEFDT:
         assert accuracy > 0.7
 
     def test_counts_exclude_stats_holders(self):
-        X, y = make_multiclass_blobs(5000, n_classes=2, n_features=3, seed=7)
+        """An EFDT split node's stats holder is not part of the tree: it is
+        never a child, so complexity() counts exactly the leaves reachable
+        through ``children``."""
+        X, y = SEAGenerator(n_samples=5000, seed=5).take()
         model = _stream_fit(
             ExtremelyFastDecisionTreeClassifier(grace_period=100), X, y, [0, 1]
         )
-        report = model.complexity()
-        assert report.n_nodes == report.n_leaves + (report.n_nodes - report.n_leaves)
-        assert report.n_leaves >= 1
+        nodes = iter_nodes(model.root)
+        splits = [node for node in nodes if isinstance(node, EFDTSplitNode)]
+        assert len(splits) >= 2 and model.n_reevaluations > 0
+
+        def leaves(node):
+            if isinstance(node, LeafNode):
+                return 1
+            return sum(leaves(child) for child in node.children if child is not None)
+
+        assert model.complexity().n_leaves == leaves(model.root) >= 2
+        assert not {id(split.stats) for split in splits} & {id(node) for node in nodes}
 
     def test_proba_is_distribution(self):
         X, y = make_multiclass_blobs(2000, n_classes=3, n_features=3, seed=8)
