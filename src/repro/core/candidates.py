@@ -22,6 +22,52 @@ summing the masked rows of a loss-augmented gradient matrix along axis 0)
 rather than a BLAS matmul, whose blocked partial sums differ in the last
 ulp, and the gain sweep's squared gradient norms use the same einsum loop
 order as the scalar reference in :func:`approximate_candidate_loss`.
+
+Admission bound.  Once the store is full, a fresh candidate enters only by
+beating the weakest stored gain ``w``, and most fresh candidates cannot.  The
+vectorized path skips the exact statistics of those candidates without
+changing any output.  Take a batch of ``n`` rows with per-sample losses
+``ℓₙ``, per-sample gradients ``gₙ``, batch loss ``L_b``, batch gradient
+``G = Σₙ gₙ`` and learning rate ``λ``.  A fresh candidate sends ``c_l`` rows
+left and ``c_r = n − c_l`` rows right, with subset losses ``L_l + L_r = L_b``
+and gradients ``g_l + g_r = G``.  With ``a_l = λ‖g_l‖²/c_l`` and
+``a_r = λ‖g_r‖²/c_r`` its batch gain is
+
+    ``L_b − max(L_l − a_l, 0) − max(L_r − a_r, 0)
+    = min(L_l, a_l) + min(L_r, a_r) ≤ min(L_b, a_l + a_r)``.
+
+Writing ``d = Σ_left (gₙ − G/n) = −Σ_right (gₙ − G/n)`` gives the exact
+identity ``a_l + a_r = λ·(‖G‖²/n + n·‖d‖²/(c_l·c_r))``.  Cauchy–Schwarz on
+either side bounds ``‖d‖² ≤ c_l·S_l`` and ``‖d‖² ≤ c_r·S_r``, where
+``S_l`` and ``S_r`` sum ``‖gₙ − G/n‖²`` over the left and right rows.  So
+
+* stage 1 (no threshold proposed yet): ``gain ≤ min(L_b, λ·Σₙ‖gₙ‖²) + M``,
+  since ``‖g_l‖²/c_l ≤ Σ_left ‖gₙ‖²``;
+* stage 2 (per candidate, from its mask column only):
+  ``gain ≤ min(L_b, λ·(‖G‖²/n + n·min(S_l/c_r, S_r/c_l))) + M``.
+
+Both cost ``O(n·p + n·k)`` with no matrix–matrix product.  A candidate whose
+bound is ``<= w`` has a gain no larger than any stored gain, so the
+admission loop would stop at it: pruning it leaves every admission and
+eviction unchanged, and the kept candidates still take their statistics from
+the full ``nk,np->kp`` contraction.  ``M`` covers the rounding of both the
+gain sweep and the bound.  Every sum above has at most
+``K = 2n + p + 8`` roundings per term, so the standard summation bound
+``|fl(Σ xᵢ) − Σ xᵢ| ≤ γ_K·Σ|xᵢ|`` with ``γ_K = K·u/(1 − K·u)`` and
+``u = 2⁻⁵³`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+Lemma 3.1 and §4.2) applies to each.  The largest error lies in
+``n·S_l/c_r``, whose rows' errors add up to at most ``9·γ_K·n²·λ·Σₙ‖gₙ‖²``.
+Hence
+
+    ``M = 16·γ_K·(Σₙ|ℓₙ| + (1 + λ)·(n + 1)²·(Σₙ‖gₙ‖² + t))``,
+
+where ``t`` is the smallest normal double: it covers products that underflow,
+each of which loses at most ``u·t``.  The bound is used only while that
+scale stays below ``2¹⁰⁰⁰``, so no step of the sweep or the bound overflows
+and every fresh gain is finite.  It is not used while a stored gain is NaN:
+the admission loop admits any newcomer that meets a NaN.  Nothing about it
+is configurable.  The ``vectorized=False`` reference never prunes and stays
+the oracle the vectorized path is tested against.
 """
 
 from __future__ import annotations
@@ -33,6 +79,10 @@ import numpy as np
 from repro.core.gains import approximate_candidate_loss, split_gain
 from repro.telemetry import DMT_CANDIDATES, TELEMETRY
 
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+#: Largest batch scale for which the admission bound's margin is certified.
+_MAX_BOUND_SCALE = 2.0**1000
 
 
 @dataclass
@@ -184,6 +234,59 @@ def candidate_gain_sweep(
             right_subset_losses,
         )
     return reference_loss - left_losses - right_losses
+
+
+class _AdmissionBound:
+    """Upper bounds on the batch gains of a batch's fresh candidates.
+
+    The two stages of the admission bound derived in the module docstring:
+    ``batch_bound`` holds for every fresh candidate of the batch and
+    :meth:`candidate_bounds` for each informative one.  ``certified`` is
+    false when the batch is too large in scale, or not finite, for the
+    rounding margin to hold; then neither bound may be used.
+    """
+
+    def __init__(
+        self,
+        per_sample_loss: np.ndarray,
+        per_sample_gradient: np.ndarray,
+        batch_loss: float,
+        batch_gradient: np.ndarray,
+        learning_rate: float,
+    ) -> None:
+        n_rows, width = per_sample_gradient.shape
+        energy = float(
+            np.einsum("np,np->n", per_sample_gradient, per_sample_gradient).sum()
+        )
+        scale = float(np.abs(per_sample_loss).sum()) + (
+            (1.0 + learning_rate) * (n_rows + 1.0) ** 2
+        ) * (energy + _SMALLEST_NORMAL)
+        terms = 2 * n_rows + width + 8
+        gamma = terms * _UNIT_ROUNDOFF / (1.0 - terms * _UNIT_ROUNDOFF)
+        self.certified = scale < _MAX_BOUND_SCALE
+        self._margin = 16.0 * gamma * scale
+        self._gradient = per_sample_gradient
+        self._batch_loss = batch_loss
+        self._batch_gradient = batch_gradient
+        self._learning_rate = learning_rate
+        self.batch_bound = min(batch_loss, learning_rate * energy) + self._margin
+
+    def candidate_bounds(
+        self, masks: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Bound per candidate from its float left mask (column of ``masks``)."""
+        n_rows = len(self._gradient)
+        deviations = self._gradient - self._batch_gradient / n_rows
+        spread = np.einsum("np,np->n", deviations, deviations)
+        left = spread @ masks
+        right = spread.sum() - left
+        cross = np.minimum(left / (n_rows - counts), right / counts)
+        mean_term = (
+            np.einsum("p,p->", self._batch_gradient, self._batch_gradient)
+            / n_rows
+        )
+        spread_bound = self._learning_rate * (mean_term + n_rows * cross)
+        return np.minimum(self._batch_loss, spread_bound) + self._margin
 
 
 class CandidateManager:
@@ -514,8 +617,31 @@ class CandidateManager:
         batch_loss = float(per_sample_loss.sum())
         batch_gradient = per_sample_gradient.sum(axis=0)
         batch_count = float(len(per_sample_loss))
+        budget = int(np.floor(self.replacement_rate * self.max_candidates))
 
-        fresh = self._propose_fresh(X, augmented)
+        stored_gains = stored_order = admission = weakest_gain = None
+        if self.vectorized and len(self._features) >= self.max_candidates:
+            # Full store: skip what provably cannot beat the weakest stored
+            # gain (the admission bound of the module docstring).
+            if budget == 0:
+                return
+            stored_gains = self._stored_gains(
+                node_loss, node_gradient, node_count, learning_rate,
+                reference_loss,
+            )
+            stored_order = np.argsort(stored_gains, kind="stable")
+            if not np.isnan(stored_gains).any():
+                admission = _AdmissionBound(
+                    per_sample_loss, per_sample_gradient, batch_loss,
+                    batch_gradient, learning_rate,
+                )
+                weakest_gain = stored_gains[stored_order[0]]
+                if not admission.certified:
+                    admission = None
+                elif admission.batch_bound <= weakest_gain:
+                    return
+
+        fresh = self._propose_fresh(X, augmented, admission, weakest_gain)
         if fresh is None:
             return
         fresh_features, fresh_thresholds, fresh_losses, fresh_gradients, fresh_counts = fresh
@@ -558,23 +684,22 @@ class CandidateManager:
         remaining = order[free_slots:]
 
         evicted: list[int] = []
-        if len(remaining):
-            budget = int(np.floor(self.replacement_rate * self.max_candidates))
-            if budget > 0 and len(self._features):
+        if len(remaining) and budget > 0 and len(self._features):
+            if stored_gains is None:
                 stored_gains = self._stored_gains(
                     node_loss, node_gradient, node_count, learning_rate,
                     reference_loss,
                 )
                 stored_order = np.argsort(stored_gains, kind="stable")
-                for newcomer, weakest in zip(remaining, stored_order):
-                    if len(evicted) >= budget:
-                        break
-                    if fresh_gains[newcomer] <= stored_gains[weakest]:
-                        # Stored gains ascend while newcomer gains descend
-                        # from here on, so no later pair can qualify either.
-                        break
-                    evicted.append(int(weakest))
-                    admitted.append(newcomer)
+            for newcomer, weakest in zip(remaining, stored_order):
+                if len(evicted) >= budget:
+                    break
+                if fresh_gains[newcomer] <= stored_gains[weakest]:
+                    # Stored gains ascend while newcomer gains descend
+                    # from here on, so no later pair can qualify either.
+                    break
+                evicted.append(int(weakest))
+                admitted.append(newcomer)
 
         if evicted:
             keep = np.ones(len(self._features), dtype=bool)
@@ -610,12 +735,20 @@ class CandidateManager:
                 if evicted:
                     evicted_total.inc(len(evicted))
 
-    def _propose_fresh(self, X: np.ndarray, augmented: np.ndarray):
+    def _propose_fresh(
+        self,
+        X: np.ndarray,
+        augmented: np.ndarray,
+        admission: _AdmissionBound | None = None,
+        weakest_gain: float | None = None,
+    ):
         """Statistics of the batch's informative, not-yet-stored candidates.
 
         Returns ``None`` when the batch proposes nothing new, otherwise the
         tuple ``(features, thresholds, losses, gradients, counts)`` in
-        proposal order (feature ascending, threshold ascending).
+        proposal order (feature ascending, threshold ascending).  With an
+        ``admission`` bound, candidates whose bound is ``<= weakest_gain``
+        are dropped before their statistics are summed.
         """
         if self.vectorized:
             fresh_features, fresh_thresholds = self._propose_concat(X)
@@ -654,7 +787,18 @@ class CandidateManager:
         masks = masks[:, informative]
         counts = counts[informative]
         if self.vectorized:
-            sums = np.einsum("nk,np->kp", masks.astype(float), augmented)
+            weights = masks.astype(float)
+            if admission is not None:
+                bounds = admission.candidate_bounds(weights, counts)
+                keep = ~(bounds <= weakest_gain)
+                if not keep.any():
+                    return None
+                if not keep.all():
+                    fresh_features = fresh_features[keep]
+                    fresh_thresholds = fresh_thresholds[keep]
+                    weights = weights[:, keep]
+                    counts = counts[keep]
+            sums = np.einsum("nk,np->kp", weights, augmented)
             gradients = sums[:, :-1]
             losses = sums[:, -1]
         else:

@@ -94,6 +94,11 @@ class DynamicModelTree(StreamClassifier):
                 f"n_candidates_factor must be >= 1, got {n_candidates_factor!r}."
             )
         check_in_range(replacement_rate, "replacement_rate", 0.0, 1.0)
+        if max_values_per_feature < 1:
+            raise ValueError(
+                "max_values_per_feature must be >= 1, "
+                f"got {max_values_per_feature!r}."
+            )
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be >= 1 or None, got {max_depth!r}.")
         self.learning_rate = float(learning_rate)

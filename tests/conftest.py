@@ -53,3 +53,32 @@ def xor_data():
 @pytest.fixture
 def multiclass_blobs():
     return make_multiclass_blobs(600, seed=5)
+
+
+def make_glm_batch(rng, n_rows, n_classes, scale=1.0, n_features=3):
+    """Features, per-sample NLL and gradient rows of an ``n_classes`` GLM.
+
+    The gradient width is ``n_features + 1`` for two classes and
+    ``n_classes * (n_features + 1)`` above.  A ``scale`` above 1 also spreads
+    row magnitudes over eight decades while keeping every entry finite: at
+    1e150 squared norms overflow, at 1e300 sums over rows overflow to inf
+    and gains turn inf or NaN.
+    """
+    X = rng.uniform(size=(n_rows, n_features))
+    logits = rng.normal(scale=2.0, size=(n_rows, n_classes))
+    proba = np.exp(logits - logits.max(axis=1, keepdims=True))
+    proba /= proba.sum(axis=1, keepdims=True)
+    y = rng.integers(0, n_classes, size=n_rows)
+    errors = proba.copy()
+    errors[np.arange(n_rows), y] -= 1.0
+    X_aug = np.hstack([X, np.ones((n_rows, 1))])
+    if n_classes == 2:
+        grad = errors[:, 1:] * X_aug
+    else:
+        grad = (errors[:, :, None] * X_aug[:, None, :]).reshape(n_rows, -1)
+    loss = -np.log(proba[np.arange(n_rows), y])
+    if scale != 1.0:
+        magnitudes = scale * 10.0 ** rng.uniform(0.0, 8.0, size=n_rows)
+        grad = grad * magnitudes[:, None]
+        loss = np.minimum(loss, 1.5) * magnitudes
+    return X, loss, grad

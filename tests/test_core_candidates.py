@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.candidates import CandidateManager, CandidateStatistics
+from repro.core.candidates import (
+    CandidateManager,
+    CandidateStatistics,
+    _AdmissionBound,
+    augment_batch,
+    candidate_gain_sweep,
+)
+from tests.conftest import make_glm_batch
 
 
 def _make_batch(n=40, n_features=3, seed=0, n_classes=2):
@@ -262,3 +269,55 @@ class TestCandidateManagerQueries:
             total += 30
         for candidate in manager.candidates:
             assert candidate.count <= total
+
+
+class TestAdmissionBound:
+    """Both stages of the admission bound dominate every fresh gain."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        n_rows=st.sampled_from([2, 2, 2, 3, 4, 7, 40, 125]),
+        n_classes=st.integers(2, 25),
+        learning_rate=st.sampled_from([1e-3, 0.05, 1.0]),
+        gaussian=st.booleans(),
+    )
+    def test_bounds_dominate_fresh_gains(
+        self, seed, n_rows, n_classes, learning_rate, gaussian
+    ):
+        """Two-row batches make Cauchy–Schwarz an equality: with a small
+        learning rate the gain equals the bound in exact arithmetic and only
+        the rounding margin keeps the bound above it."""
+        rng = np.random.default_rng(seed)
+        X, loss, grad = make_glm_batch(rng, n_rows, n_classes)
+        if gaussian:
+            grad = rng.normal(size=grad.shape)
+        manager = CandidateManager(n_features=3, max_values_per_feature=n_rows)
+        features, thresholds, losses, gradients, counts = manager._propose_fresh(
+            X, augment_batch(loss, grad)
+        )
+        batch_loss = float(loss.sum())
+        batch_gradient = grad.sum(axis=0)
+        gains = candidate_gain_sweep(
+            losses, gradients, counts, batch_loss, batch_gradient,
+            float(n_rows), learning_rate, assume_counts_positive=True,
+        )
+        bound = _AdmissionBound(
+            loss, grad, batch_loss, batch_gradient, learning_rate
+        )
+        assert bound.certified
+        masks = (X[:, features] <= thresholds).astype(float)
+        assert np.all(gains <= bound.batch_bound)
+        assert np.all(gains <= bound.candidate_bounds(masks, counts))
+        # Every batch proposes its smallest value: a single-row left side.
+        assert (counts == 1).any()
+
+    def test_overflowing_batch_is_not_certified(self):
+        X, loss, grad = make_glm_batch(
+            np.random.default_rng(3), 40, 3, scale=1e150
+        )
+        with np.errstate(over="ignore"):
+            bound = _AdmissionBound(
+                loss, grad, float(loss.sum()), grad.sum(axis=0), 0.05
+            )
+        assert not bound.certified

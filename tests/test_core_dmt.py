@@ -29,6 +29,8 @@ class TestConstruction:
             DynamicModelTree(replacement_rate=1.2)
         with pytest.raises(ValueError):
             DynamicModelTree(max_depth=0)
+        with pytest.raises(ValueError, match="max_values_per_feature must be >= 1"):
+            DynamicModelTree(max_values_per_feature=0)
 
     def test_paper_defaults(self):
         model = DynamicModelTree()

@@ -25,7 +25,7 @@ from repro.core.candidates import (
 from repro.evaluation.prequential import PrequentialEvaluator
 from repro.linear.glm import IncrementalGLM
 from repro.streams.synthetic import SEAGenerator
-from tests.conftest import make_multiclass_blobs, make_xor
+from tests.conftest import make_glm_batch, make_multiclass_blobs, make_xor
 
 
 def _batch_schedule(rng, total, max_batch=60):
@@ -73,52 +73,130 @@ def _assert_managers_identical(fast, slow):
 
 
 class TestCandidateManagerEquivalence:
-    @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), constant=st.booleans())
-    def test_accumulation_and_admission_bit_identical(self, seed, constant):
-        fast = CandidateManager(n_features=3, max_candidates=7, vectorized=True)
-        slow = CandidateManager(n_features=3, max_candidates=7, vectorized=False)
-        node_loss, node_count = 0.0, 0.0
-        node_grad = np.zeros(5)
-        for X, loss, grad in _random_batches(seed, constant_feature=constant):
-            node_loss += float(loss.sum())
-            node_grad = node_grad + grad.sum(axis=0)
-            node_count += float(len(loss))
-            for manager in (fast, slow):
-                manager.update_stored(X, loss, grad)
-                manager.consider_new(
-                    X, loss, grad,
-                    node_loss=node_loss, node_gradient=node_grad,
-                    node_count=node_count, learning_rate=0.05,
+    """Vectorized store vs the ``vectorized=False`` oracle, batch by batch.
+
+    Only the vectorized path prunes fresh candidates with the admission
+    bound, so these cases fail if pruning ever changes an admission, an
+    eviction or ``best_candidate``.
+    """
+
+    @staticmethod
+    def _assert_paths_agree(fast, slow, batches, learning_rate=0.05):
+        width = batches[0][2].shape[1]
+        node_loss, node_count, node_grad = 0.0, 0.0, np.zeros(width)
+        for X, loss, grad in batches:
+            with np.errstate(all="ignore"):
+                node_loss += float(loss.sum())
+                node_grad = node_grad + grad.sum(axis=0)
+                node_count += float(len(loss))
+                for manager in (fast, slow):
+                    manager.update_stored(X, loss, grad)
+                    manager.consider_new(
+                        X, loss, grad,
+                        node_loss=node_loss, node_gradient=node_grad,
+                        node_count=node_count, learning_rate=learning_rate,
+                    )
+                best_fast = fast.best_candidate(
+                    node_loss, node_grad, node_count, learning_rate
+                )
+                best_slow = slow.best_candidate(
+                    node_loss, node_grad, node_count, learning_rate
                 )
             _assert_managers_identical(fast, slow)
-            best_fast = fast.best_candidate(node_loss, node_grad, node_count, 0.05)
-            best_slow = slow.best_candidate(node_loss, node_grad, node_count, 0.05)
             assert (best_fast[0] is None) == (best_slow[0] is None)
             if best_fast[0] is not None:
                 assert best_fast[0].key == best_slow[0].key
                 assert best_fast[1] == best_slow[1]
 
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), constant=st.booleans())
+    def test_accumulation_and_admission_bit_identical(self, seed, constant):
+        fast = CandidateManager(n_features=3, max_candidates=7, vectorized=True)
+        slow = CandidateManager(n_features=3, max_candidates=7, vectorized=False)
+        self._assert_paths_agree(
+            fast, slow, _random_batches(seed, constant_feature=constant)
+        )
+
     def test_single_row_batches_bit_identical(self):
         fast = CandidateManager(n_features=2, max_candidates=4, vectorized=True)
         slow = CandidateManager(n_features=2, max_candidates=4, vectorized=False)
         rng = np.random.default_rng(11)
-        node_loss, node_count, node_grad = 0.0, 0.0, np.zeros(3)
-        for _ in range(40):
-            X = rng.uniform(size=(1, 2))
-            loss = rng.uniform(0.1, 1.0, size=1)
-            grad = rng.normal(size=(1, 3))
-            node_loss += float(loss.sum())
-            node_grad = node_grad + grad.sum(axis=0)
-            node_count += 1.0
-            for manager in (fast, slow):
-                manager.update_stored(X, loss, grad)
-                manager.consider_new(
-                    X, loss, grad,
-                    node_loss=node_loss, node_gradient=node_grad,
-                    node_count=node_count, learning_rate=0.05,
-                )
-        _assert_managers_identical(fast, slow)
+        batches = [
+            (
+                rng.uniform(size=(1, 2)),
+                rng.uniform(0.1, 1.0, size=1),
+                rng.normal(size=(1, 3)),
+            )
+            for _ in range(40)
+        ]
+        self._assert_paths_agree(fast, slow, batches)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        replacement_rate=st.sampled_from([0.0, 0.5, 1.0]),
+        max_candidates=st.integers(1, 6),
+        n_classes=st.integers(2, 25),
+        two_row=st.booleans(),
+        scales=st.lists(
+            st.sampled_from([1.0, 1.0, 1.0, 1e150, 1e300]),
+            min_size=3, max_size=12,
+        ),
+        learning_rate=st.sampled_from([1e-3, 0.05, 1.0]),
+    )
+    def test_pruned_admission_bit_identical(
+        self, seed, replacement_rate, max_candidates, n_classes, two_row,
+        scales, learning_rate,
+    ):
+        """Full stores under every replacement rate, GLM widths and overflow."""
+        rng = np.random.default_rng(seed)
+        batches = [
+            make_glm_batch(
+                rng, 2 if two_row else int(rng.integers(1, 40)), n_classes,
+                scale,
+            )
+            for scale in scales
+        ]
+        managers = [
+            CandidateManager(
+                n_features=3, max_candidates=max_candidates,
+                replacement_rate=replacement_rate, vectorized=vectorized,
+            )
+            for vectorized in (True, False)
+        ]
+        self._assert_paths_agree(*managers, batches, learning_rate)
+
+    def test_nan_stored_gain_disables_pruning(self):
+        """A newcomer paired with a NaN stored gain is admitted whatever its
+        own gain, so nothing may be pruned while a stored gain is NaN.
+
+        The first batch stores ``(0, 0.0)``, whose gradient sum overflows to
+        inf like the node gradient's, and ``(1, 0.0)``.  At the second batch
+        their gains are NaN and 0.1.  There ``(0, 0.2)`` beats 0.1, and the
+        runner-up's stage-2 bound (1/15) is below 0.1, yet the runner-up
+        takes the NaN candidate's slot.
+        """
+        batches = [
+            (
+                np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+                np.array([0.05, 0.05, 1.0]),
+                np.array([[1e308], [1e308], [0.0]]),
+            ),
+            (
+                np.array([[0.1, -1.0], [0.2, -1.0], [0.3, -1.0], [0.4, -1.0]]),
+                np.ones(4),
+                np.array([[1.0], [1.0], [-1.0], [-1.0]]),
+            ),
+        ]
+        fast, slow = (
+            CandidateManager(
+                n_features=2, max_candidates=2, replacement_rate=1.0,
+                vectorized=vectorized,
+            )
+            for vectorized in (True, False)
+        )
+        self._assert_paths_agree(fast, slow, batches)
+        assert list(fast._key_index) == [(0, 0.2), (0, 0.3)]
 
 
 class TestGainSweepEquivalence:
