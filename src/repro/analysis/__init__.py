@@ -1,19 +1,26 @@
-"""repro-lint: an invariant-enforcing static analysis suite for this repo.
+"""repro-lint: static checks for the invariants no fast test can see.
 
-The package's correctness story rests on conventions that runtime tests can
-only probe slowly and indirectly: RNG discipline (counter-based Philox
-blocks only -- the chunk-invariance contract of the stream core), wall-clock
+The package's correctness rests on conventions that runtime tests probe
+only slowly and indirectly: RNG discipline (counter-based Philox blocks
+only -- the chunk-invariance contract of the stream core), wall-clock
 discipline (no clock reads in deterministic layers), telemetry-guard
 discipline (every ``TELEMETRY`` call site pays one attribute read when
-disabled), persistence completeness (every persistable class is registered
-in the codec registry), vectorized parity (every ``vectorized`` flag keeps
-its reference path), and metric naming (``repro.<layer>.<metric>``).
+disabled), vectorized parity (every ``vectorized`` flag keeps its reference
+path) and lock discipline (the mutable fields of a lock-owning class are
+touched under its lock).
 
-:mod:`repro.analysis` enforces them *statically*: an AST visitor driver
-walks ``src/repro``, runs a set of :class:`~repro.analysis.core.Checker`
-plugins, and reports findings with per-rule IDs, severities and
-``path:line:col`` locations.  Accepted findings live in a checked-in
-baseline file; new ones fail the build.  Run it with::
+Invariants that a design can make unbreakable are not checked here.
+Persistable classes register with the codec where they are defined
+(:mod:`repro.persistence.registry`), which also enforces the
+``_repro_transient`` contract at registration and on decode; metric, span
+and event names are module constants of :mod:`repro.telemetry`, so a typo
+is an ImportError.
+
+:mod:`repro.analysis` runs per-module AST rules: a driver walks
+``src/repro``, runs a set of :class:`~repro.analysis.core.Checker` plugins,
+and reports findings with per-rule IDs, severities and ``path:line:col``
+locations.  Accepted findings live in a checked-in baseline file; new ones
+fail the build.  Run it with::
 
     python -m repro.analysis [--baseline FILE] [--format text|json]
 

@@ -13,8 +13,6 @@ from typing import Sequence
 
 from repro.analysis.baseline import apply_baseline, load_baseline, write_baseline
 from repro.analysis.driver import all_rules, default_root, discover, run
-from repro.analysis.inventory_gen import write_inventory
-from repro.analysis.manifest_gen import write_manifest
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,17 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
-        "--regen-inventory",
-        action="store_true",
-        help="regenerate repro/analysis/inventory.py from the tree and exit 0",
-    )
-    parser.add_argument(
-        "--regen-manifest",
-        action="store_true",
-        help="regenerate kernel_manifest.json (certified-pure kernels) "
-        "at the repo root and exit 0",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit 0",
@@ -76,16 +63,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     root = default_root() if args.root is None else args.root.resolve()
     project = discover(root)
-
-    if args.regen_inventory:
-        path = write_inventory(project)
-        print(f"inventory written to {path}")
-        return 0
-
-    if args.regen_manifest:
-        path = write_manifest(project)
-        print(f"kernel manifest written to {path}")
-        return 0
 
     baseline_path = (
         args.baseline

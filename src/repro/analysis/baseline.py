@@ -69,17 +69,12 @@ def apply_baseline(
             budget[key] -= 1
         else:
             fresh.append(finding)
-    stale = tuple(
-        entry
-        for entry in baseline
-        if budget.get(entry.key(), 0) > 0 and _consume(budget, entry.key())
-    )
-    return fresh, stale
-
-
-def _consume(budget: Counter[tuple[str, str, str]], key: tuple[str, str, str]) -> bool:
-    budget[key] -= 1
-    return True
+    stale: list[BaselineEntry] = []
+    for entry in baseline:
+        if budget[entry.key()] > 0:
+            budget[entry.key()] -= 1
+            stale.append(entry)
+    return fresh, tuple(stale)
 
 
 def write_baseline(

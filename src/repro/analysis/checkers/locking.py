@@ -1,53 +1,140 @@
-"""LCK -- static race detection for the serving/telemetry stack.
+"""LCK001 -- a lock-owning class touches its mutable fields under the lock.
 
-The serving layer (ROADMAP item 1) is only correct if every shared field
-of a lock-owning class is touched under its lock.  These rules encode
-that contract statically, using the interprocedural dataflow engine so a
-method that mutates state only through a private helper -- or a lock
-acquired three calls deep -- is still seen.
+The serving classes and the telemetry metrics registry are shared between
+scorer threads.  Each owns a ``threading.Lock``/``RLock`` and is only
+correct if every field that changes after construction is read and written
+under it.  The rule, per class that assigns ``self.<lock> =
+threading.Lock()`` (or ``RLock()``):
 
-``LCK001``
-    A *shared field* of a lock-owning class (one that assigns
-    ``self._lock = threading.Lock()``/``RLock()``) is accessed outside a
-    ``with self._lock:`` block.  A field is shared when its *effective*
-    (call-graph-transitive) writers span two or more non-``__init__``
-    methods, or when it is written in one method and read in another.
-    Guard facts propagate through private helpers: a ``_helper`` whose
-    every in-class call site holds the lock is itself treated as locked.
+* a field is *mutable* when a method other than the construction hooks in
+  :data:`INIT_METHODS` assigns it, deletes it, assigns into it
+  (``self.f[k] = v``) or calls a mutating container method on it
+  (``self.f.clear()``);
+* every access to a mutable field outside those hooks must sit lexically
+  inside ``with self.<lock>:``, or in a private helper whose every in-class
+  call holds the lock (or comes from such a helper, or from construction).
 
-``LCK002``
-    Two locks are acquired in opposite orders on different call paths
-    (the classic ABBA deadlock).  Lock-acquisition pairs are collected
-    transitively: holding ``ModelRegistry._lock`` while a telemetry call
-    three frames down acquires ``MetricsRegistry._lock`` records the pair
-    ``(registry, metrics)``.
-
-``LCK003``
-    A blocking operation -- file IO (``open``/``os.fdopen``/``os.fsync``/
-    ``os.replace``), ``time.sleep``, or a model ``partial_fit`` -- is
-    reachable while a lock is held.  Latency under a lock serialises every
-    scorer thread behind the slowest IO.
+A deliberate lock-free read is suppressed inline, with its reason next to
+it (``MetricsRegistry._get_or_create``'s double-checked lookup).  The
+thread-stress tests in ``tests/test_serving_concurrency.py`` cover the same
+classes dynamically, but a race that needs an unlucky interleaving can pass
+them many times in a row; this rule does not depend on the scheduler.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+import ast
+from typing import Iterator, NamedTuple
 
-from repro.analysis.core import Checker, Finding, Project, Rule
+from repro.analysis.core import Checker, Finding, ModuleInfo, Project, Rule, resolve_dotted
 
-if TYPE_CHECKING:  # deferred: dataflow imports callgraph, which imports
-    from repro.analysis.dataflow import DataflowEngine  # this package
+#: Constructors whose result, stored on ``self``, makes a class lock-owning.
+LOCK_FACTORIES = frozenset({"threading.Lock", "threading.RLock"})
 
 #: Methods whose writes never race: construction and (un)pickling happen
 #: before the object is published to other threads.
-INIT_METHODS = frozenset(
-    {"__init__", "__post_init__", "__getstate__", "__setstate__"}
+INIT_METHODS = frozenset({"__init__", "__post_init__", "__getstate__", "__setstate__"})
+
+#: Container methods that mutate their receiver.
+MUTATORS = frozenset(
+    {"add", "append", "appendleft", "clear", "discard", "extend", "insert", "pop",
+     "popitem", "remove", "setdefault", "update"}
 )
 
 
-def _short(qualname: str) -> str:
-    """``pkg.mod.Class.method`` -> ``Class.method`` for messages."""
-    return ".".join(qualname.rsplit(".", 2)[-2:])
+class _Access(NamedTuple):
+    attr: str
+    node: ast.expr
+    write: bool
+    locked: bool
+
+
+def _self_attr(node: ast.AST) -> str | None:
+    """``f`` for a ``self.f`` expression, else ``None``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return node.attr if node.value.id == "self" else None
+    return None
+
+
+def _scan(
+    method: ast.FunctionDef | ast.AsyncFunctionDef, locks: frozenset[str]
+) -> tuple[list[_Access], list[tuple[str, bool]]]:
+    """Every ``self.f`` access and ``self.m()`` call of a method, in source
+    order, each with whether it sits inside ``with self.<lock>:``."""
+    accesses: list[_Access] = []
+    calls: list[tuple[str, bool]] = []
+
+    def visit(node: ast.AST, locked: bool) -> None:
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            holds = locked or any(
+                _self_attr(item.context_expr) in locks for item in node.items
+            )
+            for item in node.items:
+                visit(item, locked)
+            for stmt in node.body:
+                visit(stmt, holds)
+            return
+        attr = _self_attr(node)
+        if isinstance(node, ast.Attribute) and attr is not None:
+            write = isinstance(node.ctx, (ast.Store, ast.Del))
+            accesses.append(_Access(attr, node, write, locked))
+        elif isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
+            node.ctx, (ast.Store, ast.Del)
+        ):
+            inner = _self_attr(node.value)
+            if inner is not None:
+                accesses.append(_Access(inner, node, True, locked))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = _self_attr(node.func.value)
+            if receiver is not None and node.func.attr in MUTATORS:
+                accesses.append(_Access(receiver, node, True, locked))
+            callee = _self_attr(node.func)
+            if callee is not None:
+                calls.append((callee, locked))
+        for child in ast.iter_child_nodes(node):
+            visit(child, locked)
+
+    for stmt in method.body:
+        visit(stmt, False)
+    return accesses, calls
+
+
+def _lock_attrs(
+    methods: list[ast.FunctionDef | ast.AsyncFunctionDef], table: dict[str, str]
+) -> frozenset[str]:
+    locks: set[str] = set()
+    for method in methods:
+        for node in ast.walk(method):
+            if not (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and resolve_dotted(node.value.func, table) in LOCK_FACTORIES
+            ):
+                continue
+            for target in node.targets:
+                attr = _self_attr(target)
+                if attr is not None:
+                    locks.add(attr)
+    return frozenset(locks)
+
+
+def _guarded_helpers(calls: dict[str, list[tuple[str, bool]]]) -> set[str]:
+    """Private methods whose every in-class call holds the lock."""
+    callers: dict[str, list[tuple[str, bool]]] = {}
+    for caller, sites in calls.items():
+        for callee, locked in sites:
+            if callee in calls:
+                entry = (caller, locked or caller in INIT_METHODS)
+                callers.setdefault(callee, []).append(entry)
+    guarded = {name for name in callers if name[:1] == "_" and name[:2] != "__"}
+    changed = True
+    while changed:
+        changed = False
+        for name in sorted(guarded):
+            if not all(held or caller in guarded for caller, held in callers[name]):
+                guarded.discard(name)
+                changed = True
+    return guarded
 
 
 class LockDisciplineChecker(Checker):
@@ -55,208 +142,56 @@ class LockDisciplineChecker(Checker):
     rules = (
         Rule(
             "LCK001",
-            "shared field of a lock-owning class accessed outside its lock",
-            "serving/telemetry contract: every field written from two or "
-            "more methods (or written in one and read in another) of a "
-            "class owning a threading.Lock must be touched under the lock",
-        ),
-        Rule(
-            "LCK002",
-            "inconsistent lock-acquisition order across classes",
-            "two locks taken in opposite orders on different call paths "
-            "can deadlock; the tree pins one global order",
-        ),
-        Rule(
-            "LCK003",
-            "blocking call while holding a lock",
-            "file IO, sleeps, and model training serialise every other "
-            "thread behind the lock; move them outside the critical "
-            "section or justify via baseline",
+            "mutable field of a lock-owning class accessed outside its lock",
+            "serving/telemetry contract: a field of a class owning a "
+            "threading.Lock that changes after construction is read and "
+            "written only under the lock (or in a private helper every "
+            "caller of which holds it)",
         ),
     )
 
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        from repro.analysis.dataflow import shared_engine
+    def check_module(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
+        table = module.import_table()
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.ClassDef):
+                yield from self._check_class(module, node, table)
 
-        engine = shared_engine(project)
-        yield from self._check_shared_fields(engine)
-        yield from self._check_lock_order(engine)
-        yield from self._check_blocking(engine)
-
-    # ------------------------------------------------------------- LCK001
-    def _check_shared_fields(self, engine: DataflowEngine) -> Iterator[Finding]:
-        for cls in sorted(engine.graph.class_graph):
-            locks = engine.lock_attrs.get(cls, frozenset())
-            if not locks:
-                continue
-            methods = sorted(
-                qualname
-                for qualname, fn in engine.graph.functions.items()
-                if fn.cls == cls
-            )
-            tokens = {f"{cls}.{attr}" for attr in locks}
-            shared = self._shared_fields(engine, cls, methods, locks)
-            if not shared:
-                continue
-            guarded = self._guarded_helpers(engine, cls, methods, tokens)
-            for qualname in methods:
-                fn = engine.graph.functions[qualname]
-                if fn.name in INIT_METHODS or qualname in guarded:
-                    continue
-                summary = engine.summaries[qualname]
-                reported: set[str] = set()
-                for access in summary.accesses:
-                    if access.attr not in shared or access.attr in reported:
-                        continue
-                    if tokens & access.locks:
-                        continue
-                    reported.add(access.attr)
-                    lock_name = sorted(locks)[0]
-                    yield Finding(
-                        path=fn.module.rel,
-                        line=access.line,
-                        col=access.col,
-                        rule="LCK001",
-                        message=(
-                            f"shared field '{access.attr}' of lock-owning "
-                            f"class {_short(cls)} is "
-                            f"{'written' if access.kind == 'write' else 'read'} "
-                            f"in {fn.name} outside 'with self.{lock_name}'"
-                        ),
-                    )
-
-    def _shared_fields(
-        self,
-        engine: DataflowEngine,
-        cls: str,
-        methods: list[str],
-        locks: frozenset[str],
-    ) -> frozenset[str]:
-        writers: dict[str, set[str]] = {}
-        readers: dict[str, set[str]] = {}
-        for qualname in methods:
-            fn = engine.graph.functions[qualname]
-            if fn.name in INIT_METHODS:
-                continue
-            facts = engine.facts[qualname]
-            for attr in facts.writes_self:
-                writers.setdefault(attr, set()).add(qualname)
-            for attr in facts.reads_self:
-                readers.setdefault(attr, set()).add(qualname)
-        shared: set[str] = set()
-        for attr, writing in writers.items():
-            if attr in locks:
-                continue
-            if len(writing) >= 2:
-                shared.add(attr)
-            elif any(reader not in writing for reader in readers.get(attr, ())):
-                shared.add(attr)
-        return frozenset(shared)
-
-    def _guarded_helpers(
-        self,
-        engine: DataflowEngine,
-        cls: str,
-        methods: list[str],
-        tokens: set[str],
-    ) -> frozenset[str]:
-        """Private methods provably only ever called with the lock held."""
-        callers: dict[str, list[tuple[str, frozenset[str]]]] = {}
-        for qualname in methods:
-            for call in engine.summaries[qualname].calls:
-                if not call.site.on_self:
-                    continue
-                for target in call.site.targets:
-                    fn = engine.graph.functions.get(target)
-                    if fn is not None and fn.cls == cls:
-                        callers.setdefault(target, []).append(
-                            (qualname, call.locks)
-                        )
-        guarded = {
-            qualname
-            for qualname in methods
-            if engine.graph.functions[qualname].name.startswith("_")
-            and not engine.graph.functions[qualname].name.startswith("__")
-            and callers.get(qualname)
-        }
-        changed = True
-        while changed:
-            changed = False
-            for qualname in sorted(guarded):
-                ok = all(
-                    bool(tokens & locks) or caller in guarded
-                    for caller, locks in callers.get(qualname, [])
-                )
-                if not ok:
-                    guarded.discard(qualname)
-                    changed = True
-        return frozenset(guarded)
-
-    # ------------------------------------------------------------- LCK002
-    def _check_lock_order(self, engine: DataflowEngine) -> Iterator[Finding]:
-        all_pairs: set[tuple[str, str]] = set()
-        for qualname in sorted(engine.facts):
-            all_pairs |= engine.facts[qualname].lock_pairs
-        reversed_pairs = {
-            pair for pair in all_pairs if (pair[1], pair[0]) in all_pairs
-        }
-        if not reversed_pairs:
+    def _check_class(
+        self, module: ModuleInfo, cls: ast.ClassDef, table: dict[str, str]
+    ) -> Iterator[Finding]:
+        methods = [
+            stmt for stmt in cls.body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        locks = _lock_attrs(methods, table)
+        if not locks:
             return
-        for qualname in sorted(engine.summaries):
-            summary = engine.summaries[qualname]
-            fn = engine.graph.functions[qualname]
-            own_pairs = set(summary.lock_pairs)
-            for call in summary.calls:
-                for target in call.site.targets:
-                    callee = engine.facts.get(target)
-                    if callee is None:
-                        continue
-                    own_pairs |= {
-                        (held, acquired)
-                        for held in call.locks
-                        for acquired in callee.locks
-                        if held != acquired
-                    }
-            for held, acquired in sorted(own_pairs & reversed_pairs):
-                yield Finding(
-                    path=fn.module.rel,
-                    line=fn.node.lineno,
-                    col=fn.node.col_offset,
-                    rule="LCK002",
-                    message=(
-                        f"{_short(qualname)} acquires {_short(acquired)} "
-                        f"while holding {_short(held)}, but the reverse "
-                        "order also exists in the tree (ABBA deadlock risk)"
-                    ),
-                )
-
-    # ------------------------------------------------------------- LCK003
-    def _check_blocking(self, engine: DataflowEngine) -> Iterator[Finding]:
-        from repro.analysis.dataflow import BLOCKING_RAW
-
-        for qualname in sorted(engine.summaries):
-            summary = engine.summaries[qualname]
-            fn = engine.graph.functions[qualname]
-            for call in summary.calls:
-                if not call.locks:
+        scans = {method.name: _scan(method, locks) for method in methods}
+        mutable = {
+            access.attr
+            for name, (accesses, _) in scans.items()
+            if name not in INIT_METHODS
+            for access in accesses
+            if access.write
+        } - locks
+        helpers = _guarded_helpers({name: calls for name, (_, calls) in scans.items()})
+        lock = sorted(locks)[0]
+        for method in methods:
+            if method.name in INIT_METHODS or method.name in helpers:
+                continue
+            reported: set[str] = set()
+            for access in scans[method.name][0]:
+                if access.locked or access.attr not in mutable - reported:
                     continue
-                direct = call.site.raw in BLOCKING_RAW
-                transitive = any(
-                    engine.facts[target].blocking
-                    for target in call.site.targets
-                    if target in engine.facts
-                )
-                if not (direct or transitive):
-                    continue
-                held = sorted(_short(token) for token in call.locks)
+                reported.add(access.attr)
                 yield Finding(
-                    path=fn.module.rel,
-                    line=call.line,
-                    col=call.col,
-                    rule="LCK003",
+                    path=module.rel,
+                    line=access.node.lineno,
+                    col=access.node.col_offset,
+                    rule="LCK001",
                     message=(
-                        f"blocking call '{call.site.raw}' in "
-                        f"{_short(qualname)} while holding "
-                        f"{', '.join(held)}"
+                        f"field '{access.attr}' of lock-owning class "
+                        f"{cls.name} is "
+                        f"{'written' if access.write else 'read'} in "
+                        f"{method.name} outside 'with self.{lock}'"
                     ),
                 )

@@ -1,17 +1,16 @@
 """Framework primitives of repro-lint: findings, rules, modules, checkers.
 
-A :class:`Checker` is a plugin that inspects parsed modules (or the whole
-:class:`Project` at once, for cross-file rules) and yields
-:class:`Finding` records.  Everything here is deliberately free of global
-state so two runs over the same tree produce byte-identical output -- a
-property pinned by ``tests/test_analysis.py``.
+A :class:`Checker` is a plugin that inspects one parsed module at a time
+and yields :class:`Finding` records.  Everything here is deliberately free
+of global state so two runs over the same tree produce byte-identical
+output -- a property pinned by ``tests/test_analysis.py``.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -19,9 +18,6 @@ from typing import Iterator
 #: ``# repro-lint: disable=all``.  Applies to findings on the same physical
 #: line, or -- when the comment stands alone -- to the next code line.
 _SUPPRESS_RE = re.compile(r"#.*?repro-lint:\s*disable=([A-Za-z0-9_*]+(?:\s*,\s*[A-Za-z0-9_*]+)*)")
-
-#: Severity levels, in increasing order of weight.
-SEVERITIES = ("warning", "error")
 
 
 @dataclass(frozen=True)
@@ -115,32 +111,21 @@ class Project:
 
     root: Path  #: the directory containing the ``repro`` package (``src``)
     modules: tuple[ModuleInfo, ...]
-    _by_rel: dict[str, ModuleInfo] = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        self._by_rel.update({module.rel: module for module in self.modules})
-
-    def module(self, rel: str) -> ModuleInfo | None:
-        return self._by_rel.get(rel)
 
 
 class Checker:
     """Base class of all repro-lint plugins.
 
     Subclasses declare their :class:`Rule` catalogue in :attr:`rules` and
-    implement :meth:`check_module` (per-file rules) and/or
-    :meth:`check_project` (cross-file rules).  Checkers must be pure
-    functions of the parsed tree: no wall clocks, no RNGs, no caches that
-    survive a run -- the CLI's output is required to be deterministic.
+    implement :meth:`check_module`.  Checkers must be pure functions of the
+    parsed tree: no wall clocks, no RNGs, no caches that survive a run --
+    the CLI's output is required to be deterministic.
     """
 
     name: str = ""
     rules: tuple[Rule, ...] = ()
 
     def check_module(self, module: ModuleInfo, project: Project) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
         return iter(())
 
 

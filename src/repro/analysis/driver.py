@@ -29,11 +29,7 @@ PACKAGE = "repro"
 def default_checkers() -> tuple[Checker, ...]:
     """The shipped checker plugins, in their fixed execution order."""
     from repro.analysis.checkers import (
-        CopyDisciplineChecker,
-        KernelPurityChecker,
         LockDisciplineChecker,
-        MetricNamingChecker,
-        PersistenceChecker,
         RngDisciplineChecker,
         TelemetryGuardChecker,
         VectorizedParityChecker,
@@ -44,12 +40,8 @@ def default_checkers() -> tuple[Checker, ...]:
         RngDisciplineChecker(),
         WallClockChecker(),
         TelemetryGuardChecker(),
-        PersistenceChecker(),
         VectorizedParityChecker(),
-        MetricNamingChecker(),
         LockDisciplineChecker(),
-        KernelPurityChecker(),
-        CopyDisciplineChecker(),
     )
 
 
@@ -101,7 +93,6 @@ def run(
     for checker in plugins:
         for module in project.modules:
             findings.extend(checker.check_module(module, project))
-        findings.extend(checker.check_project(project))
     kept = [
         finding
         for finding in findings

@@ -123,9 +123,6 @@ class GuardIndex:
                 # leaves the rest of this suite reachable only when enabled.
                 if implies_not and not stmt.orelse and _terminates(stmt.body):
                     remaining_guarded = True
-                # Symmetric shape with the enabled work in the else branch.
-                if implies and not stmt.orelse and _terminates(stmt.body):
-                    pass  # the remainder runs only when *disabled*: no mark
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 body_guarded = stmt.name.startswith(HELPER_PREFIX)
                 self._scan_stmts(

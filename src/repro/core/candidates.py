@@ -77,7 +77,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.gains import approximate_candidate_loss, split_gain
-from repro.telemetry import DMT_CANDIDATES, TELEMETRY
+from repro.persistence.registry import register
+from repro.telemetry import (
+    DMT_CANDIDATES,
+    DMT_CANDIDATES_ADMITTED_TOTAL,
+    DMT_CANDIDATES_EVICTED_TOTAL,
+    TELEMETRY,
+)
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
@@ -85,6 +91,7 @@ _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 _MAX_BOUND_SCALE = 2.0**1000
 
 
+@register
 @dataclass
 class CandidateStatistics:
     """Accumulated left-partition statistics of one split candidate.
@@ -289,6 +296,7 @@ class _AdmissionBound:
         return np.minimum(self._batch_loss, spread_bound) + self._margin
 
 
+@register
 class CandidateManager:
     """Bounded store of split-candidate statistics for one DMT node.
 
@@ -367,8 +375,8 @@ class CandidateManager:
         #: ``clear()`` bumps the generation and invalidates them).
         #: Candidate updates are the most frequent instrumented site in DMT
         #: training, so the labelled registry lookup is hoisted out of the
-        #: per-update path.  Instance state (not a module cache) so the
-        #: kernel purity certification stays free of module-level writes.
+        #: per-update path.  Instance state, not a module-level cache, so
+        #: no mutable state is shared between candidate stores.
         self._candidate_counters: dict = {"generation": -1}
         legacy = self.__dict__.pop("_candidates", None)
         if legacy is not None:
@@ -404,10 +412,10 @@ class CandidateManager:
         cache = self._candidate_counters
         if cache.get("generation") != registry.generation:
             cache["admitted"] = registry.counter(
-                "repro.dmt.candidates_admitted_total"
+                DMT_CANDIDATES_ADMITTED_TOTAL
             )
             cache["evicted"] = registry.counter(
-                "repro.dmt.candidates_evicted_total"
+                DMT_CANDIDATES_EVICTED_TOTAL
             )
             cache["generation"] = registry.generation
         return cache["admitted"], cache["evicted"]

@@ -22,7 +22,17 @@ import numpy as np
 from repro.base import ComplexityReport, StreamClassifier
 from repro.core.nodes import DMTNode
 from repro.linear.glm import IncrementalGLM
-from repro.telemetry import DMT_PRUNE, DMT_RESPLIT, DMT_SPLIT, TELEMETRY
+from repro.telemetry import (
+    DMT_PRUNE,
+    DMT_PRUNES_TOTAL,
+    DMT_RESPLIT,
+    DMT_RESPLITS_TOTAL,
+    DMT_SPLIT,
+    DMT_SPLITS_TOTAL,
+    SPAN_DMT_PARTIAL_FIT,
+    SPAN_DMT_PREDICT_PROBA,
+    TELEMETRY,
+)
 from repro.utils.validation import check_in_range, check_positive, check_random_state
 
 
@@ -162,7 +172,7 @@ class DynamicModelTree(StreamClassifier):
         # Span context manager.
         tracer = TELEMETRY.tracer
         stack = tracer._stack()
-        path = stack[-1] + "/dmt.partial_fit" if stack else "dmt.partial_fit"
+        path = stack[-1] + "/" + SPAN_DMT_PARTIAL_FIT if stack else SPAN_DMT_PARTIAL_FIT
         stack.append(path)
         started = perf_counter()
         try:
@@ -208,7 +218,7 @@ class DynamicModelTree(StreamClassifier):
                     gain=float(gain),
                     depth=int(depth),
                 )
-                TELEMETRY.counter("repro.dmt.splits_total").inc()
+                TELEMETRY.counter(DMT_SPLITS_TOTAL).inc()
 
     def _try_restructure_inner(self, node: DMTNode) -> None:
         """Apply the inner-node checks of Figure 2(b): gains (4) and (5)."""
@@ -230,7 +240,7 @@ class DynamicModelTree(StreamClassifier):
             node.collapse_to_leaf()
             if TELEMETRY.enabled:
                 TELEMETRY.emit(DMT_PRUNE, gain=float(to_leaf_gain))
-                TELEMETRY.counter("repro.dmt.prunes_total").inc()
+                TELEMETRY.counter(DMT_PRUNES_TOTAL).inc()
         elif resplit_ok:
             node.apply_split(candidate)
             if TELEMETRY.enabled:
@@ -240,7 +250,7 @@ class DynamicModelTree(StreamClassifier):
                     threshold=float(candidate.threshold),
                     gain=float(resplit_gain),
                 )
-                TELEMETRY.counter("repro.dmt.resplits_total").inc()
+                TELEMETRY.counter(DMT_RESPLITS_TOTAL).inc()
 
     # ------------------------------------------------------------ inference
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -261,7 +271,9 @@ class DynamicModelTree(StreamClassifier):
         # hand instead of allocating a Span context manager.
         tracer = TELEMETRY.tracer
         stack = tracer._stack()
-        path = stack[-1] + "/dmt.predict_proba" if stack else "dmt.predict_proba"
+        path = (
+            stack[-1] + "/" + SPAN_DMT_PREDICT_PROBA if stack else SPAN_DMT_PREDICT_PROBA
+        )
         stack.append(path)
         started = perf_counter()
         try:

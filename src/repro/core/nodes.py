@@ -24,8 +24,10 @@ from repro.core.gains import (
     prune_gain,
 )
 from repro.linear.glm import IncrementalGLM
+from repro.persistence.registry import register
 
 
+@register
 class DMTNode:
     """One node of a Dynamic Model Tree.
 

@@ -18,9 +18,11 @@ import math
 import numpy as np
 
 from repro.drift.base import BaseDriftDetector
+from repro.persistence.registry import register
 from repro.telemetry import TELEMETRY
 
 
+@register
 class _BucketRow:
     """A row of buckets that all summarise the same number of values."""
 

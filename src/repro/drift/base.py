@@ -7,7 +7,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.persistence.mixin import PersistableStateMixin
-from repro.telemetry import DRIFT_DETECTED, TELEMETRY
+from repro.telemetry import DRIFT_DETECTED, DRIFT_DETECTIONS_TOTAL, TELEMETRY
 
 
 class BaseDriftDetector(PersistableStateMixin, ABC):
@@ -63,7 +63,7 @@ class BaseDriftDetector(PersistableStateMixin, ABC):
             ),
         )
         TELEMETRY.counter(
-            "repro.drift.detections_total", detector=type(self).__name__
+            DRIFT_DETECTIONS_TOTAL, detector=type(self).__name__
         ).inc()
 
     def reset(self) -> "BaseDriftDetector":

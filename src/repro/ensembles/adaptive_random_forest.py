@@ -17,7 +17,12 @@ import numpy as np
 
 from repro.base import ComplexityReport, StreamClassifier
 from repro.drift.adwin import ADWIN
-from repro.telemetry import ENSEMBLE_MEMBER_DRIFT, TELEMETRY
+from repro.persistence.registry import register
+from repro.telemetry import (
+    ENSEMBLE_MEMBER_DRIFT,
+    ENSEMBLE_MEMBER_DRIFTS_TOTAL,
+    TELEMETRY,
+)
 from repro.ensembles.bagging import (
     accumulate_member_votes,
     detector_saw_mean_increase,
@@ -27,6 +32,7 @@ from repro.trees.vfdt import HoeffdingTreeClassifier
 from repro.utils.validation import check_positive, check_random_state
 
 
+@register
 class _ForestMember:
     """One ARF member: a foreground tree, detectors, optional background tree."""
 
@@ -202,7 +208,7 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
                             detector="ADWIN",
                         )
                         TELEMETRY.counter(
-                            "repro.ensemble.member_drifts_total",
+                            ENSEMBLE_MEMBER_DRIFTS_TOTAL,
                             model=type(self).__name__,
                         ).inc()
 

@@ -14,7 +14,11 @@ import numpy as np
 
 from repro.base import StreamClassifier
 from repro.drift.adwin import ADWIN
-from repro.telemetry import ENSEMBLE_MEMBER_DRIFT, TELEMETRY
+from repro.telemetry import (
+    ENSEMBLE_MEMBER_DRIFT,
+    ENSEMBLE_MEMBER_DRIFTS_TOTAL,
+    TELEMETRY,
+)
 from repro.ensembles.bagging import OzaBaggingClassifier, detector_saw_mean_increase
 
 
@@ -105,7 +109,7 @@ class LeveragingBaggingClassifier(OzaBaggingClassifier):
                     detector="ADWIN",
                 )
                 TELEMETRY.counter(
-                    "repro.ensemble.member_drifts_total",
+                    ENSEMBLE_MEMBER_DRIFTS_TOTAL,
                     model=type(self).__name__,
                 ).inc()
 

@@ -37,7 +37,14 @@ from repro.evaluation.metrics import ConfusionMatrix, MatrixScores, check_averag
 from repro.persistence.mixin import PersistableStateMixin
 from repro.streams.base import Stream
 from repro.streams.scenarios import LabelRealism, label_realism
-from repro.telemetry import EVALUATION_COMPLETED, LABEL_DELAYED_FLUSH, TELEMETRY
+from repro.telemetry import (
+    EVALUATION_BATCH_SECONDS,
+    EVALUATION_COMPLETED,
+    EVALUATION_RUNS_TOTAL,
+    LABEL_DELAYED_FLUSH,
+    SPAN_EVALUATION_PREQUENTIAL,
+    TELEMETRY,
+)
 from repro.telemetry.metrics import Histogram
 from repro.utils.validation import check_in_range
 
@@ -238,7 +245,7 @@ class PrequentialSession(PersistableStateMixin):
     def _telemetry_histogram(self) -> Histogram:
         if self._batch_histogram is None:
             self._batch_histogram = TELEMETRY.histogram(
-                "repro.evaluation.batch_seconds",
+                EVALUATION_BATCH_SECONDS,
                 model=self.result.model_name,
                 dataset=self.result.dataset_name,
             )
@@ -383,12 +390,12 @@ class PrequentialSession(PersistableStateMixin):
                 n_samples=result.n_samples,
             )
             TELEMETRY.counter(
-                "repro.evaluation.runs_total", model=result.model_name
+                EVALUATION_RUNS_TOTAL, model=result.model_name
             ).inc()
 
     def run(self) -> PrequentialResult:
         """Run the remaining batches to completion."""
-        with TELEMETRY.span("evaluation.prequential"):
+        with TELEMETRY.span(SPAN_EVALUATION_PREQUENTIAL):
             while self.step():
                 pass
         return self.result

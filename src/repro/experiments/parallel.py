@@ -25,7 +25,12 @@ from typing import Callable, Iterable, Sequence
 
 from repro.evaluation.prequential import PrequentialResult
 from repro.experiments.store import ResultStore, RunConfig
-from repro.telemetry import GRID_CELL_COMPLETED, TELEMETRY
+from repro.telemetry import (
+    EXPERIMENTS_CELL_SECONDS,
+    EXPERIMENTS_CELLS_TOTAL,
+    GRID_CELL_COMPLETED,
+    TELEMETRY,
+)
 
 #: Progress event states, in lifecycle order.
 CACHED = "cached"
@@ -117,9 +122,9 @@ def run_grid(
                 dataset=config.dataset,
                 elapsed_seconds=elapsed_seconds,
             )
-            TELEMETRY.counter("repro.experiments.cells_total").inc()
+            TELEMETRY.counter(EXPERIMENTS_CELLS_TOTAL).inc()
             if elapsed_seconds is not None:
-                TELEMETRY.histogram("repro.experiments.cell_seconds").observe(
+                TELEMETRY.histogram(EXPERIMENTS_CELL_SECONDS).observe(
                     elapsed_seconds
                 )
         if progress is not None:

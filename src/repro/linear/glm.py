@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.persistence.registry import register
 from repro.utils.validation import check_positive, check_random_state
 
 # Probabilities are clipped to this range before taking logarithms so the
@@ -45,6 +46,7 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return exp_scores / exp_scores.sum(axis=1, keepdims=True)
 
 
+@register
 class IncrementalGLM:
     """Logit / multinomial-logit model with SGD updates.
 

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.persistence.registry import register
 
+
+@register
 class GaussianNaiveBayes:
     """Gaussian Naive Bayes with incremental (Welford) moment updates.
 

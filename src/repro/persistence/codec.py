@@ -32,6 +32,9 @@ Classes may declare a ``_repro_transient`` tuple of attribute names that are
 pure caches: the encoder skips them and the decoder rebuilds them by calling
 the instance's ``_init_transient()`` after all persisted attributes are set
 (used by the counter-based streams, whose block caches are regenerable).
+Registration rejects a class that declares the tuple without the hook, and
+decoding rejects a hook that leaves one of the names unset (a typo in the
+tuple would otherwise persist the cache it meant to exclude).
 """
 
 from __future__ import annotations
@@ -262,10 +265,16 @@ class Decoder:
             setattr(obj, attr, self.decode(value))
         # Classes declaring transient attributes (pure caches skipped by the
         # encoder) rebuild them here so the decoded object is fully usable.
-        if getattr(type(obj), "_repro_transient", ()) and hasattr(
-            obj, "_init_transient"
-        ):
+        transient = getattr(cls, "_repro_transient", ())
+        if transient:
             obj._init_transient()
+            unset = [attr for attr in transient if not hasattr(obj, attr)]
+            if unset:
+                raise SerializationError(
+                    f"{cls.__qualname__}._init_transient() left transient "
+                    f"attribute(s) {unset} unset; every name in "
+                    "_repro_transient must be rebuilt (a typo in the tuple?)."
+                )
         return obj
 
 

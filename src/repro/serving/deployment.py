@@ -20,7 +20,13 @@ import numpy as np
 from repro.base import StreamClassifier
 from repro.drift.base import BaseDriftDetector
 from repro.serving.registry import ModelRegistry, ModelVersion
-from repro.telemetry import SERVING_DRIFT, SERVING_PROMOTION, TELEMETRY
+from repro.telemetry import (
+    SERVING_CHAMPION_DRIFTS_TOTAL,
+    SERVING_DRIFT,
+    SERVING_PROMOTION,
+    SERVING_PROMOTIONS_TOTAL,
+    TELEMETRY,
+)
 
 
 class ChampionChallenger:
@@ -119,7 +125,7 @@ class ChampionChallenger:
         ``X``/``y`` are passed through as-is: every consumer
         (``predict``/``partial_fit``) runs its own ``asarray`` validation,
         so a defensive copy here would be pure memory-bandwidth overhead
-        on the hot path (flagged by CPY001, measured in
+        on the hot path (removing it measured parity, 1.006x, in
         ``BENCH_scenarios.json``).
         """
         champion = self.champion
@@ -163,7 +169,7 @@ class ChampionChallenger:
                     n_drifts=self.n_drifts,
                 )
                 TELEMETRY.counter(
-                    "repro.serving.champion_drifts_total", name=self.name
+                    SERVING_CHAMPION_DRIFTS_TOTAL, name=self.name
                 ).inc()
 
         # Test-then-train: both models keep learning from the labelled stream.
@@ -221,6 +227,6 @@ class ChampionChallenger:
                 ],
             )
             TELEMETRY.counter(
-                "repro.serving.promotions_total", name=self.name
+                SERVING_PROMOTIONS_TOTAL, name=self.name
             ).inc()
         return entry

@@ -15,7 +15,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.telemetry import SERVING_HOT_SWAP, TELEMETRY
+from repro.telemetry import (
+    SERVING_ACTIVE_VERSION,
+    SERVING_HOT_SWAP,
+    SERVING_REGISTRATIONS_TOTAL,
+    TELEMETRY,
+)
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,11 @@ class ModelRegistry:
                     activated=activated,
                 )
                 TELEMETRY.counter(
-                    "repro.serving.registrations_total", name=name
+                    SERVING_REGISTRATIONS_TOTAL, name=name
                 ).inc()
                 if activated:
                     TELEMETRY.gauge(
-                        "repro.serving.active_version", name=name
+                        SERVING_ACTIVE_VERSION, name=name
                     ).set(entry.version)
             return entry
 
@@ -101,7 +106,7 @@ class ModelRegistry:
                     action="activate",
                 )
                 TELEMETRY.gauge(
-                    "repro.serving.active_version", name=name
+                    SERVING_ACTIVE_VERSION, name=name
                 ).set(entry.version)
             return entry
 

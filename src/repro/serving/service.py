@@ -19,8 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.persistence.registry import register
 from repro.serving.registry import ModelRegistry
-from repro.telemetry import TELEMETRY
+from repro.telemetry import (
+    SERVING_LATENCY_SECONDS,
+    SERVING_REQUESTS_TOTAL,
+    SERVING_ROWS_TOTAL,
+    SPAN_SERVING_SCORE,
+    TELEMETRY,
+)
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -28,6 +35,7 @@ from repro.telemetry.metrics import (
 )
 
 
+@register
 class ScoringStats:
     """Running latency/throughput statistics for one model name.
 
@@ -92,6 +100,7 @@ class ScoringStats:
         }
 
 
+@register
 class ScoringStatsArchive:
     """Persistable container of a service's per-model statistics.
 
@@ -161,9 +170,9 @@ class ScoringService:
         if telemetry_on:
             span_stack = TELEMETRY.tracer._stack()
             span_path = (
-                span_stack[-1] + "/serving.score"
+                span_stack[-1] + "/" + SPAN_SERVING_SCORE
                 if span_stack
-                else "serving.score"
+                else SPAN_SERVING_SCORE
             )
             span_stack.append(span_path)
         started = time.perf_counter()
@@ -210,10 +219,10 @@ class ScoringService:
             handles = self._telemetry_handles.get(name)
             if handles is None:
                 handles = (
-                    TELEMETRY.counter("repro.serving.requests_total", model=name),
-                    TELEMETRY.counter("repro.serving.rows_total", model=name),
+                    TELEMETRY.counter(SERVING_REQUESTS_TOTAL, model=name),
+                    TELEMETRY.counter(SERVING_ROWS_TOTAL, model=name),
                     TELEMETRY.histogram(
-                        "repro.serving.latency_seconds", model=name
+                        SERVING_LATENCY_SECONDS, model=name
                     ),
                 )
                 self._telemetry_handles[name] = handles

@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.persistence.mixin import PersistableStateMixin
-from repro.telemetry import TELEMETRY
+from repro.telemetry import SPAN_STREAM_GENERATE_BLOCK, TELEMETRY
 
 
 class Stream(PersistableStateMixin, ABC):
@@ -274,7 +274,7 @@ class SeededStream(Stream):
         cached = self._block_cache
         if cached is not None and cached[0] == block:
             return cached[1], cached[2]
-        with TELEMETRY.span("stream.generate_block"):
+        with TELEMETRY.span(SPAN_STREAM_GENERATE_BLOCK):
             state = self._state_for_block(block)
             X, y, next_state = self._generate_block(
                 self._lazy_block_rng(block),

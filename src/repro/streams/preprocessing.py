@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.persistence.registry import register
 from repro.streams.base import Stream
 
 
+@register
 class OnlineMinMaxScaler:
     """Incremental min-max normalisation to ``[0, 1]``.
 
@@ -60,6 +62,7 @@ class OnlineMinMaxScaler:
         return self.partial_fit(X).transform(X)
 
 
+@register
 class NormalizedStream:
     """Stream decorator applying online min-max normalisation to features.
 

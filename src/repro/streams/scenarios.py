@@ -60,8 +60,9 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.persistence.registry import register
 from repro.streams.base import SeededStream, Stream
-from repro.telemetry import TELEMETRY
+from repro.telemetry import SPAN_SCENARIO_GENERATE, TELEMETRY
 from repro.streams.synthetic.drift import drift_sigmoid, wrapped_rows
 from repro.utils.validation import check_in_range
 
@@ -721,6 +722,7 @@ class LabelMasker(StreamTransform):
         return X, y, None
 
 
+@register
 class LabelRealism:
     """Combined label-arrival schedule of a stream's transform stack.
 
@@ -833,5 +835,5 @@ class ScenarioPipeline(Stream):
         return f"{self.name}: " + " -> ".join(names)
 
     def _generate(self, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        with TELEMETRY.span("scenario.generate"):
+        with TELEMETRY.span(SPAN_SCENARIO_GENERATE):
             return self.stream._generate(start, count)

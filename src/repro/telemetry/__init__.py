@@ -10,6 +10,14 @@ tracing (``with telemetry.span("layer"):``) threaded through stream
 generation, scenario transforms, model training/inference, the prequential
 evaluator, the parallel experiment engine and the scoring service.
 
+Every metric, span and event name the package records is a constant of
+this module -- metric names such as :data:`DMT_SPLITS_TOTAL`
+(``repro.<layer>.<metric>``), span names such as
+:data:`SPAN_SERVING_SCORE`, event kinds such as :data:`DMT_SPLIT` -- so a
+misspelt name at a call site is an ImportError.  The registry and the event
+log still accept any other well-formed name for downstream series and
+ad-hoc event kinds.
+
 Telemetry is **off by default and zero-cost while off**: instrumented call
 sites check one boolean before doing anything, and spans degrade to a
 shared no-op context manager.  Enabling it never perturbs determinism --
@@ -61,6 +69,28 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
+    DMT_CANDIDATES_ADMITTED_TOTAL,
+    DMT_CANDIDATES_EVICTED_TOTAL,
+    DMT_PRUNES_TOTAL,
+    DMT_RESPLITS_TOTAL,
+    DMT_SPLITS_TOTAL,
+    DRIFT_DETECTIONS_TOTAL,
+    ENSEMBLE_MEMBER_DRIFTS_TOTAL,
+    EVALUATION_BATCH_SECONDS,
+    EVALUATION_RUNS_TOTAL,
+    EXPERIMENTS_CELL_SECONDS,
+    EXPERIMENTS_CELLS_TOTAL,
+    SERVING_ACTIVE_VERSION,
+    SERVING_CHAMPION_DRIFTS_TOTAL,
+    SERVING_LATENCY_SECONDS,
+    SERVING_PROMOTIONS_TOTAL,
+    SERVING_REGISTRATIONS_TOTAL,
+    SERVING_REQUESTS_TOTAL,
+    SERVING_ROWS_TOTAL,
+    TREE_ALTERNATES_STARTED_TOTAL,
+    TREE_PRUNES_TOTAL,
+    TREE_SPLITS_TOTAL,
+    TREE_SWAPS_TOTAL,
     Counter,
     Gauge,
     Histogram,
@@ -69,7 +99,18 @@ from repro.telemetry.metrics import (
     prometheus_name,
 )
 from repro.telemetry.runtime import TELEMETRY, Telemetry
-from repro.telemetry.tracing import SPAN_METRIC, Span, SpanHandle, Tracer
+from repro.telemetry.tracing import (
+    SPAN_DMT_PARTIAL_FIT,
+    SPAN_DMT_PREDICT_PROBA,
+    SPAN_EVALUATION_PREQUENTIAL,
+    SPAN_METRIC,
+    SPAN_SCENARIO_GENERATE,
+    SPAN_SERVING_SCORE,
+    SPAN_STREAM_GENERATE_BLOCK,
+    Span,
+    SpanHandle,
+    Tracer,
+)
 
 
 def enable(events_path: str | None = None) -> Telemetry:
@@ -151,7 +192,38 @@ __all__ = [
     "check_metric_name",
     "prometheus_name",
     "DEFAULT_LATENCY_BUCKETS",
+    # Metric names.
+    "DMT_CANDIDATES_ADMITTED_TOTAL",
+    "DMT_CANDIDATES_EVICTED_TOTAL",
+    "DMT_PRUNES_TOTAL",
+    "DMT_RESPLITS_TOTAL",
+    "DMT_SPLITS_TOTAL",
+    "DRIFT_DETECTIONS_TOTAL",
+    "ENSEMBLE_MEMBER_DRIFTS_TOTAL",
+    "EVALUATION_BATCH_SECONDS",
+    "EVALUATION_RUNS_TOTAL",
+    "EXPERIMENTS_CELL_SECONDS",
+    "EXPERIMENTS_CELLS_TOTAL",
+    "SERVING_ACTIVE_VERSION",
+    "SERVING_CHAMPION_DRIFTS_TOTAL",
+    "SERVING_LATENCY_SECONDS",
+    "SERVING_PROMOTIONS_TOTAL",
+    "SERVING_REGISTRATIONS_TOTAL",
+    "SERVING_REQUESTS_TOTAL",
+    "SERVING_ROWS_TOTAL",
+    "TREE_ALTERNATES_STARTED_TOTAL",
+    "TREE_PRUNES_TOTAL",
+    "TREE_SPLITS_TOTAL",
+    "TREE_SWAPS_TOTAL",
     "SPAN_METRIC",
+    # Span names.
+    "SPAN_DMT_PARTIAL_FIT",
+    "SPAN_DMT_PREDICT_PROBA",
+    "SPAN_EVALUATION_PREQUENTIAL",
+    "SPAN_SCENARIO_GENERATE",
+    "SPAN_SERVING_SCORE",
+    "SPAN_STREAM_GENERATE_BLOCK",
+    # Event kinds.
     "DRIFT_DETECTED",
     "ENSEMBLE_MEMBER_DRIFT",
     "TREE_SPLIT",

@@ -32,12 +32,62 @@ from typing import Callable, TypeVar, cast
 
 import numpy as np
 
+from repro.persistence.registry import register
+
 #: Default latency buckets (seconds): log-ish spacing from 10us to 10s.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
+
+# ------------------------------------------------------------ metric names
+# Every series the package records is named here once, so a misspelt name
+# at a call site is an ImportError instead of a silently forked series.
+#: DMT leaf splits.
+DMT_SPLITS_TOTAL = "repro.dmt.splits_total"
+#: DMT inner nodes collapsed back into leaves.
+DMT_PRUNES_TOTAL = "repro.dmt.prunes_total"
+#: DMT inner nodes whose subtree was replaced by a new split.
+DMT_RESPLITS_TOTAL = "repro.dmt.resplits_total"
+#: Split candidates admitted to a DMT candidate store.
+DMT_CANDIDATES_ADMITTED_TOTAL = "repro.dmt.candidates_admitted_total"
+#: Split candidates evicted from a DMT candidate store.
+DMT_CANDIDATES_EVICTED_TOTAL = "repro.dmt.candidates_evicted_total"
+#: Drift detections, labelled by ``detector``.
+DRIFT_DETECTIONS_TOTAL = "repro.drift.detections_total"
+#: Ensemble member resets after a member's detector fired, by ``model``.
+ENSEMBLE_MEMBER_DRIFTS_TOTAL = "repro.ensemble.member_drifts_total"
+#: Seconds per prequential batch, by ``model`` and ``dataset``.
+EVALUATION_BATCH_SECONDS = "repro.evaluation.batch_seconds"
+#: Finished prequential runs, by ``model``.
+EVALUATION_RUNS_TOTAL = "repro.evaluation.runs_total"
+#: Finished experiment-grid cells.
+EXPERIMENTS_CELLS_TOTAL = "repro.experiments.cells_total"
+#: Seconds per experiment-grid cell.
+EXPERIMENTS_CELL_SECONDS = "repro.experiments.cell_seconds"
+#: Active version of a registered model, by ``name``.
+SERVING_ACTIVE_VERSION = "repro.serving.active_version"
+#: Champion drifts seen by a champion/challenger deployment, by ``name``.
+SERVING_CHAMPION_DRIFTS_TOTAL = "repro.serving.champion_drifts_total"
+#: Seconds per scoring request, by ``model``.
+SERVING_LATENCY_SECONDS = "repro.serving.latency_seconds"
+#: Challenger promotions, by ``name``.
+SERVING_PROMOTIONS_TOTAL = "repro.serving.promotions_total"
+#: Model versions registered, by ``name``.
+SERVING_REGISTRATIONS_TOTAL = "repro.serving.registrations_total"
+#: Scoring requests, by ``model``.
+SERVING_REQUESTS_TOTAL = "repro.serving.requests_total"
+#: Rows scored, by ``model``.
+SERVING_ROWS_TOTAL = "repro.serving.rows_total"
+#: Alternate subtrees started by HAT, by ``model``.
+TREE_ALTERNATES_STARTED_TOTAL = "repro.tree.alternates_started_total"
+#: Hoeffding-family prunes, by ``model``.
+TREE_PRUNES_TOTAL = "repro.tree.prunes_total"
+#: Hoeffding-family leaf splits, by ``model``.
+TREE_SPLITS_TOTAL = "repro.tree.splits_total"
+#: Alternate subtrees swapped in by HAT, by ``model``.
+TREE_SWAPS_TOTAL = "repro.tree.swaps_total"
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_.]*$")
 _PROM_SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -65,6 +115,7 @@ def _render_labels(labels: tuple[tuple[str, str], ...], extra: str = "") -> str:
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
+@register
 class Counter:
     """Monotonically increasing count (requests, rows, events)."""
 
@@ -83,6 +134,7 @@ class Counter:
         return {"value": self.value}
 
 
+@register
 class Gauge:
     """Last-write-wins instantaneous value (queue depth, model version)."""
 
@@ -105,6 +157,7 @@ class Gauge:
         return {"value": self.value}
 
 
+@register
 class Histogram:
     """Fixed-bucket histogram with an exact-percentile sample buffer.
 

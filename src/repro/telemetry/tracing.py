@@ -24,6 +24,20 @@ if TYPE_CHECKING:
 #: Histogram receiving one observation per finished span, labelled by path.
 SPAN_METRIC = "repro.trace.span_seconds"
 
+# -------------------------------------------------------------- span names
+#: One prequential evaluation run.
+SPAN_EVALUATION_PREQUENTIAL = "evaluation.prequential"
+#: One block generated by a counter-based stream.
+SPAN_STREAM_GENERATE_BLOCK = "stream.generate_block"
+#: One block generated through a scenario pipeline.
+SPAN_SCENARIO_GENERATE = "scenario.generate"
+#: One ``DynamicModelTree.partial_fit`` call.
+SPAN_DMT_PARTIAL_FIT = "dmt.partial_fit"
+#: One ``DynamicModelTree.predict_proba`` call.
+SPAN_DMT_PREDICT_PROBA = "dmt.predict_proba"
+#: One scoring request of the serving layer.
+SPAN_SERVING_SCORE = "serving.score"
+
 
 class _NoopSpan:
     """Shared do-nothing span handed out while telemetry is disabled."""

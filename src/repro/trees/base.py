@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.linear.naive_bayes import GaussianNaiveBayes
+from repro.persistence.registry import register
 from repro.trees.criteria import SplitCriterion
 from repro.trees.observers import (
     LeafObservers,
@@ -35,6 +36,7 @@ def ensure_length(array: np.ndarray, length: int) -> np.ndarray:
     return padded
 
 
+@register
 class LeafNode:
     """A learning leaf: class statistics, attribute observers, leaf predictor.
 
@@ -255,6 +257,7 @@ class LeafNode:
         return suggestions
 
 
+@register
 class SplitNode:
     """A binary split node: ``x[feature] <= threshold`` goes left."""
 

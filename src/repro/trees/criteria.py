@@ -23,6 +23,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.persistence.registry import register
+
 
 class SplitCriterion(ABC):
     """Interface of class-distribution-based split criteria."""
@@ -82,6 +84,7 @@ def _gini_rows(dists: np.ndarray) -> np.ndarray:
     return np.where(totals > 0, ginis, 0.0)
 
 
+@register
 class InfoGainCriterion(SplitCriterion):
     """Information gain: entropy reduction from parent to children.
 
@@ -142,6 +145,7 @@ class InfoGainCriterion(SplitCriterion):
         return np.where(populated >= 2, merits, -np.inf)
 
 
+@register
 class GiniCriterion(SplitCriterion):
     """Gini impurity reduction (normalised to [0, 1])."""
 
@@ -181,6 +185,7 @@ class GiniCriterion(SplitCriterion):
         return np.where(populated >= 2, merits, -np.inf)
 
 
+@register
 class VarianceReductionCriterion:
     """Standard-deviation reduction (SDR) over a numeric target.
 

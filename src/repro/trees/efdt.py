@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.telemetry import TREE_SPLIT, TELEMETRY
+from repro.persistence.registry import register
+from repro.telemetry import TREE_SPLIT, TREE_SPLITS_TOTAL, TELEMETRY
 from repro.trees.base import LeafNode, SplitNode
 from repro.trees.hoeffding import hoeffding_bound
 from repro.trees.observers import SplitSuggestion
 from repro.trees.vfdt import HoeffdingTreeClassifier
 
 
+@register
 class EFDTSplitNode(SplitNode):
     """Split node that keeps learning statistics for later re-evaluation."""
 
@@ -206,7 +208,7 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
                 depth=int(leaf.depth),
             )
             TELEMETRY.counter(
-                "repro.tree.splits_total", model=type(self).__name__
+                TREE_SPLITS_TOTAL, model=type(self).__name__
             ).inc()
         return new_split
 
@@ -298,5 +300,5 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
                 depth=int(node.depth),
             )
             TELEMETRY.counter(
-                "repro.tree.splits_total", model=type(self).__name__
+                TREE_SPLITS_TOTAL, model=type(self).__name__
             ).inc()

@@ -27,7 +27,14 @@ import numpy as np
 from repro.base import ComplexityReport, StreamClassifier
 from repro.drift.page_hinkley import PageHinkley
 from repro.linear.glm import IncrementalGLM
-from repro.telemetry import TREE_PRUNE, TREE_SPLIT, TELEMETRY
+from repro.persistence.registry import register
+from repro.telemetry import (
+    TREE_PRUNE,
+    TREE_PRUNES_TOTAL,
+    TREE_SPLIT,
+    TREE_SPLITS_TOTAL,
+    TELEMETRY,
+)
 from repro.trees.base import tree_depth
 from repro.trees.criteria import VarianceReductionCriterion
 from repro.trees.hoeffding import hoeffding_bound
@@ -35,6 +42,7 @@ from repro.trees.observers import LeafObservers, SplitSuggestion
 from repro.utils.validation import check_in_range, check_positive, check_random_state
 
 
+@register
 class FIMTLeaf:
     """Leaf of the FIMT-DD classifier: SDR statistics plus a linear model."""
 
@@ -94,6 +102,7 @@ class FIMTLeaf:
         )
 
 
+@register
 class FIMTSplitNode:
     """Inner node of the FIMT-DD classifier with a Page-Hinkley drift monitor."""
 
@@ -286,7 +295,7 @@ class FIMTDDClassifier(StreamClassifier):
                 depth=int(node.depth),
             )
             TELEMETRY.counter(
-                "repro.tree.prunes_total", model=type(self).__name__
+                TREE_PRUNES_TOTAL, model=type(self).__name__
             ).inc()
 
     def _find_parent(
@@ -356,7 +365,7 @@ class FIMTDDClassifier(StreamClassifier):
                 depth=int(leaf.depth),
             )
             TELEMETRY.counter(
-                "repro.tree.splits_total", model=type(self).__name__
+                TREE_SPLITS_TOTAL, model=type(self).__name__
             ).inc()
 
     # ------------------------------------------------------------ inference

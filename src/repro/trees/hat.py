@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.base import ComplexityReport
 from repro.drift.adwin import ADWIN
+from repro.persistence.registry import register
 from repro.telemetry import TELEMETRY
 from repro.trees.base import LeafNode, SplitNode, tree_depth
 from repro.trees.observers import SplitSuggestion
@@ -31,6 +32,7 @@ from repro.trees.vfdt import HoeffdingTreeClassifier
 from repro.utils.numerics import np_pairwise_sum
 
 
+@register
 class AdaLeafNode(LeafNode):
     """Learning leaf with an ADWIN estimator of its own error rate."""
 
@@ -41,6 +43,7 @@ class AdaLeafNode(LeafNode):
         self.adwin = ADWIN(delta=adwin_delta)
 
 
+@register
 class AdaSplitNode(SplitNode):
     """Split node with an ADWIN error monitor and an optional alternate tree."""
 

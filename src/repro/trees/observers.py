@@ -25,9 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.persistence.registry import register
 from repro.trees.criteria import SplitCriterion, VarianceReductionCriterion
 
 
+@register
 @dataclass
 class SplitSuggestion:
     """A candidate binary split of one feature."""
@@ -45,6 +47,7 @@ class SplitSuggestion:
         return value <= self.threshold
 
 
+@register
 class GaussianEstimator:
     """Incremental univariate Gaussian with Welford moment updates."""
 
@@ -110,6 +113,7 @@ def _erf(z: float) -> float:
     return float(_erf_vec(z))
 
 
+@register
 class GaussianAttributeObserver:
     """Per-class Gaussian observer for one numeric feature.
 
@@ -244,6 +248,7 @@ class GaussianAttributeObserver:
         return best
 
 
+@register
 class NominalAttributeObserver:
     """Per-value class counts for one nominal feature.
 
@@ -299,6 +304,7 @@ class NominalAttributeObserver:
         return best
 
 
+@register
 class LeafObservers:
     """Structure-of-arrays attribute statistics for one learning leaf.
 

@@ -29,9 +29,13 @@ from repro.trees.base import (
 from repro.trees.criteria import GiniCriterion, InfoGainCriterion, SplitCriterion
 from repro.telemetry import (
     TREE_ALTERNATE_STARTED,
+    TREE_ALTERNATES_STARTED_TOTAL,
     TREE_PRUNE,
+    TREE_PRUNES_TOTAL,
     TREE_SPLIT,
+    TREE_SPLITS_TOTAL,
     TREE_SWAP,
+    TREE_SWAPS_TOTAL,
     TELEMETRY,
 )
 from repro.trees.hoeffding import hoeffding_bound
@@ -540,7 +544,7 @@ class HoeffdingTreeClassifier(StreamClassifier):
                 depth=int(leaf.depth),
             )
             TELEMETRY.counter(
-                "repro.tree.splits_total", model=type(self).__name__
+                TREE_SPLITS_TOTAL, model=type(self).__name__
             ).inc()
         return new_split
 
@@ -560,13 +564,13 @@ class HoeffdingTreeClassifier(StreamClassifier):
             TREE_ALTERNATE_STARTED, model=type(self).__name__, depth=int(depth)
         )
         TELEMETRY.counter(
-            "repro.tree.alternates_started_total", model=type(self).__name__
+            TREE_ALTERNATES_STARTED_TOTAL, model=type(self).__name__
         ).inc()
 
     def _telemetry_swap(self, depth: int) -> None:
         TELEMETRY.emit(TREE_SWAP, model=type(self).__name__, depth=int(depth))
         TELEMETRY.counter(
-            "repro.tree.swaps_total", model=type(self).__name__
+            TREE_SWAPS_TOTAL, model=type(self).__name__
         ).inc()
 
     def _telemetry_prune(self, reason: str, depth: int) -> None:
@@ -577,7 +581,7 @@ class HoeffdingTreeClassifier(StreamClassifier):
             depth=int(depth),
         )
         TELEMETRY.counter(
-            "repro.tree.prunes_total", model=type(self).__name__
+            TREE_PRUNES_TOTAL, model=type(self).__name__
         ).inc()
 
     # ------------------------------------------------------------ inference

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,161 +289,139 @@ class TestTelemetryGuard:
         assert findings == []
 
 
-# -------------------------------------------------------------- persistence
+# ------------------------------------------------------------------- locking
 
-_MIXIN = "repro/persistence/mixin.py"
-_MIXIN_SRC = "class PersistableStateMixin:\n    pass\n"
-_REGISTRY = "repro/persistence/registry.py"
+#: A metrics registry shaped like ``MetricsRegistry``: a deliberate,
+#: suppressed lock-free fast path in ``_get_or_create``.
+_REGISTRY_SRC = (
+    "import threading\n"
+    "class Registry:\n"
+    "    def __init__(self):\n"
+    "        self._lock = threading.Lock()\n"
+    "        self._metrics = {}\n"
+    "        self.generation = 0\n"
+    "    def _get_or_create(self, key, factory):\n"
+    "        metric = self._metrics.get(key)  # repro-lint: disable=LCK001\n"
+    "        if metric is None:\n"
+    "            with self._lock:\n"
+    "                metric = self._metrics.get(key)\n"
+    "                if metric is None:\n"
+    "                    metric = self._metrics[key] = factory()\n"
+    "        return metric\n"
+    "    def clear(self):\n"
+    "        with self._lock:\n"
+    "            self._metrics.clear()\n"
+    "            self.generation += 1\n"
+)
 
 
-def _registry_src(*class_names: str) -> str:
-    imports = "".join(
-        f"    from repro.models.zoo import {name}\n" for name in class_names
-    )
-    uses = "".join(f"    register({name})\n" for name in class_names)
-    return (
-        "def register(cls):\n    return cls\n"
-        "def ensure_default_registrations():\n"
-        + (imports + uses if class_names else "    pass\n")
-    )
-
-
-class TestPersistenceCompleteness:
-    def test_unregistered_persistable_flagged(self, tmp_path):
+class TestLockDiscipline:
+    def test_lck001_unguarded_read_flagged(self, tmp_path):
         findings = findings_for(
             tmp_path,
             {
-                _MIXIN: _MIXIN_SRC,
-                _REGISTRY: _registry_src(),
-                "repro/models/zoo.py": (
-                    "from repro.persistence.mixin import PersistableStateMixin\n"
-                    "class Orphan(PersistableStateMixin):\n"
-                    "    pass\n"
+                "repro/serving/hub.py": (
+                    "import threading\n"
+                    "class Hub:\n"
+                    "    def __init__(self):\n"
+                    "        self._lock = threading.Lock()\n"
+                    "        self._state = {}\n"
+                    "    def write(self, key, value):\n"
+                    "        with self._lock:\n"
+                    "            self._state[key] = value\n"
+                    "    def peek(self, key):\n"
+                    "        return self._state.get(key)\n"
                 ),
             },
         )
-        assert rules_of(findings) == {"PER001"}
-        assert "Orphan" in findings[0].message
+        assert [f.rule for f in findings] == ["LCK001"]
+        assert "peek" in findings[0].message
 
-    def test_registered_persistable_ok(self, tmp_path):
+    def test_lck001_guarded_helper_ok(self, tmp_path):
         findings = findings_for(
             tmp_path,
             {
-                _MIXIN: _MIXIN_SRC,
-                _REGISTRY: _registry_src("Kept"),
-                "repro/models/zoo.py": (
-                    "from repro.persistence.mixin import PersistableStateMixin\n"
-                    "class Kept(PersistableStateMixin):\n"
-                    "    pass\n"
+                "repro/serving/hub.py": (
+                    "import threading\n"
+                    "class Hub:\n"
+                    "    def __init__(self):\n"
+                    "        self._lock = threading.Lock()\n"
+                    "        self._state = {}\n"
+                    "    def _store(self, key, value):\n"
+                    "        self._state[key] = value\n"
+                    "    def write(self, key, value):\n"
+                    "        with self._lock:\n"
+                    "            self._store(key, value)\n"
+                    "    def peek(self, key):\n"
+                    "        with self._lock:\n"
+                    "            return self._state.get(key)\n"
                 ),
             },
         )
         assert findings == []
 
-    def test_abstract_persistable_ok(self, tmp_path):
+    def test_handle_cache_rebuilt_outside_lock_flagged(self, tmp_path):
+        """``ScoringService._telemetry_for`` without its lock: a clear racing
+        a write-back resurrects stale-generation handles."""
         findings = findings_for(
             tmp_path,
             {
-                _MIXIN: _MIXIN_SRC,
-                _REGISTRY: _registry_src("Leaf"),
-                "repro/models/zoo.py": (
-                    "from abc import abstractmethod\n"
-                    "from repro.persistence.mixin import PersistableStateMixin\n"
-                    "class Base(PersistableStateMixin):\n"
-                    "    @abstractmethod\n"
-                    "    def fit(self):\n"
-                    "        ...\n"
-                    "class Leaf(Base):\n"
-                    "    def fit(self):\n"
-                    "        return self\n"
+                "repro/serving/service.py": (
+                    "import threading\n"
+                    "from repro.telemetry import TELEMETRY\n"
+                    "class Service:\n"
+                    "    def __init__(self, registry):\n"
+                    "        self._lock = threading.Lock()\n"
+                    "        self.registry = registry\n"
+                    "        self._stats = {}\n"
+                    "        self._handles = {}\n"
+                    "        self._generation = -1\n"
+                    "    def score(self, name):\n"
+                    "        with self._lock:\n"
+                    "            self._stats[name] = self._stats.get(name, 0) + 1\n"
+                    "        if TELEMETRY.enabled:\n"
+                    "            return self._telemetry_for(name)\n"
+                    "    def _telemetry_for(self, name):\n"
+                    "        if self._generation != self.registry.generation:\n"
+                    "            self._handles.clear()\n"
+                    "            self._generation = self.registry.generation\n"
+                    "        handles = self._handles.get(name)\n"
+                    "        if handles is None:\n"
+                    "            handles = self._handles[name] = (name,)\n"
+                    "        return handles\n"
                 ),
             },
         )
-        assert findings == []
+        assert rules_of(findings) == {"LCK001"}
+        assert {f.message.split("'")[1] for f in findings} == {
+            "_generation",
+            "_handles",
+        }
+        assert all("_telemetry_for" in f.message for f in findings)
 
-    def test_reexport_resolution(self, tmp_path):
-        # Registry imports through the package __init__; the checker must
-        # resolve the re-export back to the defining module.
+    def test_len_outside_lock_flagged(self, tmp_path):
+        """``MetricsRegistry.__len__`` without its lock races ``clear()``;
+        the suppressed double-checked lookup stays quiet."""
         findings = findings_for(
             tmp_path,
             {
-                _MIXIN: _MIXIN_SRC,
-                _REGISTRY: (
-                    "def register(cls):\n    return cls\n"
-                    "def ensure_default_registrations():\n"
-                    "    from repro.models import Kept\n"
-                    "    register(Kept)\n"
-                ),
-                "repro/models/__init__.py": "from repro.models.zoo import Kept\n",
-                "repro/models/zoo.py": (
-                    "from repro.persistence.mixin import PersistableStateMixin\n"
-                    "class Kept(PersistableStateMixin):\n"
-                    "    pass\n"
-                ),
+                "repro/telemetry/metrics.py": _REGISTRY_SRC
+                + "    def __len__(self):\n"
+                "        return len(self._metrics)\n"
             },
         )
-        assert findings == []
+        assert [f.rule for f in findings] == ["LCK001"]
+        assert "'_metrics'" in findings[0].message
+        assert "__len__" in findings[0].message
 
-    def test_transient_typo_flagged(self, tmp_path):
+    def test_len_under_lock_ok(self, tmp_path):
         findings = findings_for(
             tmp_path,
             {
-                "repro/models/zoo.py": (
-                    "class Cachey:\n"
-                    "    _repro_transient = ('_cahce',)\n"
-                    "    def __init__(self):\n"
-                    "        self._cache = None\n"
-                    "    def _init_transient(self):\n"
-                    "        self._cache = None\n"
-                ),
-            },
-        )
-        assert rules_of(findings) == {"PER002"}
-        assert "'_cahce'" in findings[0].message
-
-    def test_transient_without_init_hook_flagged(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/models/zoo.py": (
-                    "class Cachey:\n"
-                    "    _repro_transient = ('_cache',)\n"
-                    "    def __init__(self):\n"
-                    "        self._cache = None\n"
-                ),
-            },
-        )
-        assert rules_of(findings) == {"PER003"}
-
-    def test_transient_contract_satisfied_ok(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/models/zoo.py": (
-                    "class Cachey:\n"
-                    "    _repro_transient = ('_cache',)\n"
-                    "    def __init__(self):\n"
-                    "        self._cache = None\n"
-                    "    def _init_transient(self):\n"
-                    "        self._cache = None\n"
-                ),
-            },
-        )
-        assert findings == []
-
-    def test_inherited_init_transient_ok(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/models/zoo.py": (
-                    "class Base:\n"
-                    "    def __init__(self):\n"
-                    "        self._cache = None\n"
-                    "    def _init_transient(self):\n"
-                    "        self._cache = None\n"
-                    "class Child(Base):\n"
-                    "    _repro_transient = ('_cache',)\n"
-                ),
+                "repro/telemetry/metrics.py": _REGISTRY_SRC
+                + "    def __len__(self):\n"
+                "        with self._lock:\n"
+                "            return len(self._metrics)\n"
             },
         )
         assert findings == []
@@ -499,120 +476,6 @@ class TestVectorizedParity:
             },
         )
         assert findings == []
-
-
-# -------------------------------------------------------------- metric names
-
-
-class TestMetricNaming:
-    def test_malformed_metric_name_flagged(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/trees/bad.py": (
-                    "from repro.telemetry import TELEMETRY\n"
-                    "def record():\n"
-                    "    if TELEMETRY.enabled:\n"
-                    "        TELEMETRY.counter('Splits.Total').inc()\n"
-                ),
-            },
-        )
-        assert rules_of(findings) == {"MET001"}
-
-    def test_wrong_shape_repro_name_flagged(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/trees/bad.py": (
-                    "from repro.telemetry import TELEMETRY\n"
-                    "def record():\n"
-                    "    if TELEMETRY.enabled:\n"
-                    "        TELEMETRY.counter('repro.Trees.splits').inc()\n"
-                ),
-            },
-        )
-        assert rules_of(findings) == {"MET001"}
-
-    def test_unknown_metric_name_flagged(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/trees/bad.py": (
-                    "from repro.telemetry import TELEMETRY\n"
-                    "def record():\n"
-                    "    if TELEMETRY.enabled:\n"
-                    "        TELEMETRY.counter('repro.tree.not_in_inventory').inc()\n"
-                ),
-            },
-        )
-        assert rules_of(findings) == {"MET002"}
-
-    def test_module_constant_checked(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/trees/bad.py": "SPLITS = 'repro.tree.not_in_inventory'\n",
-            },
-        )
-        assert rules_of(findings) == {"MET002"}
-        assert findings[0].line == 1
-
-    def test_inventory_metric_ok(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/trees/good.py": (
-                    "from repro.telemetry import TELEMETRY\n"
-                    "def record():\n"
-                    "    if TELEMETRY.enabled:\n"
-                    "        TELEMETRY.counter('repro.tree.splits_total').inc()\n"
-                ),
-            },
-        )
-        assert findings == []
-
-    def test_unknown_span_name_flagged(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/core/bad.py": (
-                    "from repro.telemetry import TELEMETRY\n"
-                    "def work():\n"
-                    "    with TELEMETRY.span('core.bogus_span'):\n"
-                    "        pass\n"
-                ),
-            },
-        )
-        assert rules_of(findings) == {"MET003"}
-
-    def test_unknown_event_kind_flagged(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/core/bad.py": (
-                    "from repro.telemetry import TELEMETRY\n"
-                    "def work():\n"
-                    "    if TELEMETRY.enabled:\n"
-                    "        TELEMETRY.emit('tree.splitted', node=1)\n"
-                ),
-            },
-        )
-        assert rules_of(findings) == {"MET004"}
-
-    def test_event_kind_via_module_constant_resolved(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/core/bad.py": (
-                    "from repro.telemetry import TELEMETRY\n"
-                    "KIND = 'tree.splitted'\n"
-                    "def work():\n"
-                    "    if TELEMETRY.enabled:\n"
-                    "        TELEMETRY.emit(KIND, node=1)\n"
-                ),
-            },
-        )
-        assert rules_of(findings) == {"MET004"}
 
 
 # -------------------------------------------------------------- suppressions
@@ -822,17 +685,6 @@ def test_live_tree_clean_modulo_baseline():
     assert stale == (), "stale baseline entries: prune with --update-baseline"
 
 
-def test_live_inventory_is_current():
-    """Checked-in inventory matches what --regen-inventory would write."""
-    from repro.analysis import inventory
-    from repro.analysis.inventory_gen import collect_inventory
-
-    metrics, spans, events = collect_inventory(discover())
-    assert metrics == inventory.METRIC_NAMES
-    assert spans == inventory.SPAN_NAMES
-    assert events == inventory.EVENT_KINDS
-
-
 # -------------------------------------------------------------- determinism
 
 _DET_FILES = {
@@ -848,16 +700,8 @@ _DET_FILES = {
         "def g():\n"
         "    TELEMETRY.counter('repro.core.bogus_total').inc()\n"
     ),
-    "repro/models/zoo.py": (
-        "class Cachey:\n"
-        "    _repro_transient = ('_typo',)\n"
-        "    def __init__(self):\n"
-        "        self._cache = None\n"
-    ),
-    # Interprocedural content: LCK001 fires only after the fixpoint
-    # propagates the helper's unguarded write, and PUR002 only after the
-    # kernel's impurity is discovered through a callee -- so the shuffle
-    # test below also pins the dataflow engine's order-independence.
+    # A lock-owning class: LCK001 judges ``peek`` only after seeing that
+    # ``write`` assigns into ``_state``.
     "repro/serving/hub.py": (
         "import threading\n"
         "class Hub:\n"
@@ -869,19 +713,6 @@ _DET_FILES = {
         "            self._state[key] = value\n"
         "    def peek(self, key):\n"
         "        return self._state.get(key)\n"
-    ),
-    "repro/streams/leaky.py": (
-        "class SeededStream:\n"
-        "    def _generate(self, start, count):\n"
-        "        raise NotImplementedError\n"
-        "class Leaky(SeededStream):\n"
-        "    def __init__(self):\n"
-        "        self._hits = 0\n"
-        "    def _bump(self):\n"
-        "        self._hits += 1\n"
-        "    def _generate(self, start, count):\n"
-        "        self._bump()\n"
-        "        return None\n"
     ),
 }
 

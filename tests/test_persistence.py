@@ -4,10 +4,15 @@ behaves bit-identically afterwards."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import (
     AdaptiveRandomForestClassifier,
     DynamicModelTree,
@@ -23,9 +28,13 @@ from repro.drift import ADWIN, DDM, EDDM, KSWIN, PageHinkley
 from repro.ensembles.bagging import OzaBaggingClassifier
 from repro.persistence import (
     FORMAT_VERSION,
+    PersistableStateMixin,
     SerializationError,
     from_state,
     read_header,
+    register,
+    registered_classes,
+    resolve,
     to_state,
 )
 from tests.conftest import make_linear_binary, make_multiclass_blobs, make_xor
@@ -244,3 +253,92 @@ class TestFormatAndErrors:
         save_model(model, tmp_path / "model.json")
         leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
+
+
+# ------------------------------------------------------------ registration
+
+LEGACY_DIR = Path(__file__).parent / "golden" / "legacy_baselines"
+
+
+class _Tally(PersistableStateMixin):
+    """A downstream persistable class, registered by subclassing alone."""
+
+    def __init__(self, counts: dict[str, int]) -> None:
+        self.counts = counts
+
+
+class _MisspeltCache(PersistableStateMixin):
+    """Its ``_repro_transient`` names ``_cahce``, but the cache is ``_cache``."""
+
+    _repro_transient = ("_cahce",)
+
+    def __init__(self) -> None:
+        self._init_transient()
+
+    def _init_transient(self) -> None:
+        self._cache: dict[str, int] = {}
+
+
+class TestRegistrationByConstruction:
+    def test_mixin_subclass_round_trips_without_register(self, tmp_path):
+        clone = load_model(save_model(_Tally({"a": 1}), tmp_path / "tally.json"))
+        assert isinstance(clone, _Tally)
+        assert clone.counts == {"a": 1}
+
+    def test_second_class_under_a_registered_qualname_raises(self):
+        with pytest.raises(ValueError, match="already taken"):
+            type("DynamicModelTree", (PersistableStateMixin,), {})
+        assert resolve("DynamicModelTree") is DynamicModelTree
+
+    def test_transient_without_init_hook_raises_at_definition(self):
+        with pytest.raises(TypeError, match="_init_transient"):
+            type("_NoRebuild", (PersistableStateMixin,), {"_repro_transient": ("_c",)})
+        assert "_NoRebuild" not in registered_classes()
+        with pytest.raises(TypeError, match="_init_transient"):
+
+            @register
+            class _PlainNoRebuild:
+                _repro_transient = ("_c",)
+
+    def test_class_defined_in_a_function_is_not_registered(self):
+        """Each call redefines it, so it opts in with an explicit register()."""
+
+        def make() -> type:
+            class Local(PersistableStateMixin):
+                pass
+
+            return Local
+
+        first, second = make(), make()
+        assert first is not second
+        assert first not in registered_classes().values()
+
+    def test_transient_typo_fails_the_first_load(self, tmp_path):
+        path = save_model(_MisspeltCache(), tmp_path / "cache.json")
+        with pytest.raises(SerializationError, match="_cahce"):
+            load_model(path)
+
+    def test_loading_needs_only_the_persistence_import(self, tmp_path):
+        """A fresh process importing only ``repro.persistence`` can resolve
+        every shipped class: they register where they are defined."""
+        X, y = make_xor(400, seed=0)
+        model = _train(DynamicModelTree(random_state=0), X * 3, y, classes=[0, 1])
+        paths = sorted(str(path) for path in LEGACY_DIR.glob("*.json"))
+        paths.append(save_model(model, tmp_path / "dmt.json"))
+        script = (
+            "import sys\n"
+            "from repro.persistence import load_model\n"
+            "for path in sys.argv[1:]:\n"
+            "    print(type(load_model(path)).__qualname__)\n"
+        )
+        src = Path(repro.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [sys.executable, "-c", script, *paths],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(paths) == 6
+        assert result.stdout.split() == [read_header(path)["class"] for path in paths]

@@ -1,10 +1,13 @@
 """Thread-stress tests for the serving stack.
 
-The static LCK rules certify the locking discipline of
-:class:`ScoringService`, :class:`ModelRegistry`, and the telemetry
-registry; these tests hammer the same paths dynamically: scorer threads
-running against concurrent model hot-swaps, stats readers, and telemetry
-``clear()`` storms must observe no torn state and lose no counts.
+Scorer threads run against concurrent model hot-swaps, stats readers and
+telemetry ``clear()`` storms in :class:`ScoringService`,
+:class:`ModelRegistry` and the telemetry registry; they must observe no
+torn state and lose no counts.  A pass shows these paths hold up under the
+interleavings this run happened to produce, not that every field is
+locked: a race that needs an unlucky schedule can pass many runs in a row.
+The static rule LCK001 (``python -m repro.analysis``) checks the lock
+discipline of the same classes without depending on the scheduler.
 """
 
 from __future__ import annotations
@@ -51,18 +54,30 @@ def _clean_telemetry():
 
 
 def test_scoring_during_hot_swaps_loses_no_counts():
-    """Scorers racing registry hot-swaps: stats stay exact, rows intact."""
+    """Scorers racing registry hot-swaps: stats stay exact, rows intact.
+
+    The swap is made certain to land mid-run: every scorer meets the
+    swapper at a midpoint after half its requests and goes on only once
+    the swapper has registered its first new version, which keeps swapping
+    through the second half.  The first half therefore sees only label 0
+    and the second half only labels 1-3.
+    """
     registry = ModelRegistry()
     registry.register("clf", _ConstantModel(0))
     service = ScoringService(registry)
     X = np.zeros((ROWS, 3))
     start = threading.Barrier(N_THREADS + 1)
+    midpoint = threading.Barrier(N_THREADS + 1, timeout=60)
+    swapped = threading.Event()
     stop = threading.Event()
 
     def score(worker: int) -> list[int]:
         start.wait()
         labels = []
-        for _ in range(N_REQUESTS):
+        for request in range(N_REQUESTS):
+            if request == N_REQUESTS // 2:
+                midpoint.wait()
+                assert swapped.wait(timeout=60)
             out = service.predict("clf", X)
             # A torn read would mix labels inside one response; each
             # response must come from exactly one model version.
@@ -72,17 +87,22 @@ def test_scoring_during_hot_swaps_loses_no_counts():
 
     def swap() -> int:
         start.wait()
+        midpoint.wait()
         version = 0
-        while not stop.is_set():
+        while True:
             version += 1
-            registry.register("clf", _ConstantModel(version % 4))
-        return version
+            registry.register("clf", _ConstantModel(1 + version % 3))
+            swapped.set()
+            if stop.is_set():
+                return version
 
     with ThreadPoolExecutor(max_workers=N_THREADS + 1) as pool:
         swapper = pool.submit(swap)
         scorers = [pool.submit(score, i) for i in range(N_THREADS)]
-        seen = [f.result() for f in scorers]
-        stop.set()
+        try:
+            seen = [f.result() for f in scorers]
+        finally:
+            stop.set()
         assert swapper.result() > 0
 
     stats = service.stats("clf")

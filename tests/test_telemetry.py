@@ -8,10 +8,12 @@ real runs, determinism with telemetry on/off) is covered by
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     DRIFT_DETECTED,
@@ -129,6 +131,18 @@ class TestMetricsRegistry:
         for bad in ("Repro.x", "1abc", "repro metric", ""):
             with pytest.raises(ValueError):
                 check_metric_name(bad)
+
+    def test_declared_names_are_distinct_and_well_formed(self):
+        """The shipped metric and span names are constants of
+        ``repro.telemetry``; each metric name has the layer shape."""
+        values = [getattr(telemetry, name) for name in telemetry.__all__]
+        names = [value for value in values if isinstance(value, str)]
+        metrics = [name for name in names if name.startswith("repro.")]
+        assert metrics
+        assert len(names) == len(set(names))
+        shape = re.compile(r"^repro\.[a-z][a-z0-9_]*\.[a-z0-9_]+$")
+        assert all(shape.match(name) for name in metrics)
+        assert all(check_metric_name(name) for name in names)
 
     def test_prometheus_name(self):
         assert prometheus_name("repro.serving.latency_seconds") == (
