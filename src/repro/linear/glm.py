@@ -9,7 +9,10 @@ implemented here as a single class, :class:`IncrementalGLM`, which
 * exposes per-sample gradients of the negative log-likelihood with respect to
   the model parameters (required for the candidate-loss approximation of
   equation (7)), and
-* performs constant-learning-rate SGD updates (Section V-A).
+* performs constant-learning-rate SGD updates (Section V-A).  One method,
+  :meth:`IncrementalGLM.sgd_step`, holds the per-observation step: the DMT
+  nodes reach it through :meth:`IncrementalGLM.fit_incremental` and the
+  FIMT-DD leaves call it directly, once per observation.
 
 For a binary target the model keeps a single weight vector and uses the
 logistic link; for ``c > 2`` classes it keeps a ``(c, m + 1)`` weight matrix
@@ -67,9 +70,10 @@ class IncrementalGLM:
         all other nodes are warm-started from their parent.
     vectorized:
         Whether :meth:`fit_incremental` uses the fast per-observation SGD
-        path (hoisted augmentation, scalar sigmoid-dot for the binary model)
-        or the per-row reference loop.  Both are bit-equivalent; the
-        reference path exists for verification and benchmarking.
+        path (hoisted augmentation, one :meth:`sgd_step` per row) or the
+        per-row reference loop (one :meth:`update` per row).  Both are
+        bit-equivalent; the reference path exists for verification and
+        benchmarking.
     """
 
     #: Class-level fallback so payloads written before the flag existed load.
@@ -132,7 +136,8 @@ class IncrementalGLM:
         return copy
 
     # ----------------------------------------------------------- inference
-    def augment(self, X: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def augment(X: np.ndarray) -> np.ndarray:
         """Append the intercept column (the layout every weight vector uses)."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
@@ -239,7 +244,10 @@ class IncrementalGLM:
 
         The optimal parameters of the previous time step act as the prior for
         the current step (Section IV of the paper), which corresponds to a
-        plain incremental SGD update here.
+        plain incremental SGD update here.  No model of this package trains
+        with mini-batch steps: the DMT nodes use :meth:`fit_incremental` and
+        the FIMT-DD leaves :meth:`sgd_step`.  On a one-row batch this is the
+        step of :meth:`_fit_incremental_reference`.
         """
         X = self._coerce_batch(X)
         if X is None:
@@ -278,7 +286,9 @@ class IncrementalGLM:
         weights.  Equivalent to :meth:`update` for a batch of size one.
         ``X_aug`` optionally supplies a precomputed :meth:`augment` of the
         batch so callers that already augmented it (the DMT node update)
-        avoid a second pass; only the fast path uses it.
+        avoid a second pass; only the fast path uses it.  FIMT-DD, which
+        routes every observation before training on it, calls
+        :meth:`sgd_step` per row instead.
         """
         X = self._coerce_batch(X)
         if X is None:
@@ -291,12 +301,9 @@ class IncrementalGLM:
     def _fit_incremental_reference(
         self, X: np.ndarray, y: np.ndarray
     ) -> "IncrementalGLM":
-        """Reference implementation: one full gradient call per observation."""
+        """Reference implementation: one :meth:`update` per observation."""
         for row in range(len(X)):
-            grad = self.gradient(X[row : row + 1], y[row : row + 1])
-            self.weights = self.weights - self.learning_rate * grad.reshape(
-                self._weight_shape()
-            )
+            self.update(X[row : row + 1], y[row : row + 1])
         return self
 
     def _fit_incremental_fast(
@@ -304,49 +311,61 @@ class IncrementalGLM:
     ) -> "IncrementalGLM":
         """Fast per-observation SGD, bit-identical to the reference loop.
 
-        The intercept augmentation is hoisted out of the loop and each step
-        works on the augmented row directly: a scalar sigmoid-dot for the
-        binary model, one matrix-vector score per row for the multiclass
-        model.  Operation order and grouping mirror the reference loop
-        exactly so the weight trace matches bit for bit.
+        The intercept augmentation is hoisted out of the loop and every row
+        takes one :meth:`sgd_step`.  The steps work on a private copy of the
+        weights, so the caller's array is replaced, not mutated, as in the
+        reference loop.
         """
         X_aug = self.augment(X) if X_aug is None else X_aug
-        learning_rate = self.learning_rate
-        if self.n_classes == 2:
-            # In-place updates on a private copy with one reusable step
-            # buffer: multiplication is commutative and in-place subtraction
-            # performs the same IEEE operation, so the weight trace matches
-            # the out-of-place reference bit for bit with zero per-row
-            # allocations.
-            weights = self.weights.copy()
-            step = np.empty_like(weights)
-            for row in range(len(X_aug)):
-                x = X_aug[row]
-                score = x @ weights
-                if score >= 0:
-                    p_one = 1.0 / (1.0 + np.exp(-score))
-                else:
-                    exp_score = np.exp(score)
-                    p_one = exp_score / (1.0 + exp_score)
-                error = p_one - (1.0 if y[row] == 1 else 0.0)
-                np.multiply(x, error, out=step)
-                step *= learning_rate
-                weights -= step
-            self.weights = weights
-            return self
-        weights = self.weights.copy()
-        step = np.empty_like(weights)
-        for row in range(len(X_aug)):
-            x = X_aug[row]
-            scores = weights @ x
-            exp_scores = np.exp(scores - scores.max())
-            errors = exp_scores / exp_scores.sum()
-            errors[y[row]] -= 1.0
-            np.multiply(errors[:, None], x[None, :], out=step)
-            step *= learning_rate
-            weights -= step
-        self.weights = weights
+        self.weights = self.weights.copy()
+        step = self.sgd_step
+        for x, label in zip(X_aug, y.tolist()):
+            step(x, label)
         return self
+
+    def sgd_step(
+        self, x_aug: np.ndarray, y_idx: int, predict: bool = False
+    ) -> int | None:
+        """One constant-rate SGD step on one observation, in place.
+
+        ``x_aug`` is one row of :meth:`augment` and ``y_idx`` its class
+        index.  The one forward pass serves the step and, with
+        ``predict=True``, the return value: the class the model predicted
+        *before* the step, ``np.argmax`` of :meth:`predict_proba` on the row
+        (a binary tie ``p = 0.5`` predicts 0).  Otherwise it returns ``None``.
+
+        This is the package's only copy of the step arithmetic: a scalar
+        sigmoid-dot for the binary model, one matrix-vector score for the
+        multiclass model.  Operation order and grouping mirror the
+        reference loop (commuting a multiplication or subtracting in place
+        performs the same IEEE operation), so the weights match it bit for
+        bit.
+        """
+        weights = self.weights
+        if self.n_classes == 2:
+            # Python floats perform the same IEEE double operations as NumPy
+            # scalars, at a fraction of the per-operation cost.
+            score = float(x_aug @ weights)
+            if score >= 0:
+                p_one = 1.0 / (1.0 + float(np.exp(-score)))
+            else:
+                exp_score = float(np.exp(score))
+                p_one = exp_score / (1.0 + exp_score)
+            step = x_aug * (p_one - (1.0 if y_idx == 1 else 0.0))
+            step *= self.learning_rate
+            weights -= step
+            # predict_proba's argmax over [1 - p, p] keeps the first column
+            # on a tie.
+            return int(p_one > 1.0 - p_one) if predict else None
+        scores = weights @ x_aug
+        exp_scores = np.exp(scores - scores.max())
+        errors = exp_scores / exp_scores.sum()
+        predicted = int(errors.argmax()) if predict else None
+        errors[y_idx] -= 1.0
+        step = errors[:, None] * x_aug
+        step *= self.learning_rate
+        weights -= step
+        return predicted
 
     # ------------------------------------------------------------- features
     def feature_weights(self) -> np.ndarray:

@@ -14,8 +14,8 @@ evaluated models:
   drift of Gas, the cyclic price dynamics of Electricity).
 
 Surrogates are class-conditional Gaussian mixtures whose class prototypes
-move over time according to the drift type.  A documented substitution --
-see DESIGN.md -- not a claim of distributional equivalence.
+move over time according to the drift type.  This docstring documents the
+substitution; it is not a claim of distributional equivalence.
 """
 
 from __future__ import annotations

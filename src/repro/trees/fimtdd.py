@@ -18,6 +18,11 @@ original publication:
 * drift adaptation follows the second strategy of the original paper: every
   inner node runs a Page-Hinkley test on the prediction error and the branch
   is deleted (replaced by a fresh leaf) when the test raises an alert.
+
+Each observation takes one forward pass: the leaf trains through
+:meth:`IncrementalGLM.sgd_step`, which also returns the class the leaf
+predicted before the step -- the error the Page-Hinkley tests consume.  The
+batch is augmented and converted to lists once per :meth:`partial_fit`.
 """
 
 from __future__ import annotations
@@ -89,11 +94,6 @@ class FIMTLeaf:
             )
         self._observers = value
 
-    def learn_one(self, x: np.ndarray, y_idx: int) -> None:
-        self.total_weight += 1.0
-        self._observers.update_row(x.tolist(), y_idx)
-        self.model.update(x.reshape(1, -1), np.array([y_idx]))
-
     def best_sdr_suggestions(
         self, criterion: VarianceReductionCriterion, vectorized: bool = True
     ) -> list[SplitSuggestion]:
@@ -121,7 +121,7 @@ class FIMTSplitNode:
         self.page_hinkley = page_hinkley
         self.children: list = [None, None]
 
-    def branch_for(self, x: np.ndarray) -> int:
+    def branch_for(self, x: np.ndarray | list[float]) -> int:
         return 0 if x[self.feature] <= self.threshold else 1
 
     def branch_mask(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -236,12 +236,14 @@ class FIMTDDClassifier(StreamClassifier):
             )
         if self.root is None:
             self.root = self._new_leaf(depth=0)
-        y_idx = self.class_index(y)
-        for row in range(len(X)):
-            self._learn_one(X[row], int(y_idx[row]))
+        rows = zip(
+            IncrementalGLM.augment(X), X.tolist(), self.class_index(y).tolist()
+        )
+        for x_aug, x, y_idx in rows:
+            self._learn_one(x_aug, x, y_idx)
         return self
 
-    def _learn_one(self, x: np.ndarray, y_idx: int) -> None:
+    def _learn_one(self, x_aug: np.ndarray, x: list[float], y_idx: int) -> None:
         # Route to the leaf, remembering the path for the Page-Hinkley updates.
         path: list[tuple[FIMTSplitNode, int]] = []
         node = self.root
@@ -258,12 +260,12 @@ class FIMTDDClassifier(StreamClassifier):
             node = child
         leaf: FIMTLeaf = node
 
+        leaf.total_weight += 1.0
+        leaf.observers.update_row(x, y_idx)
         # Error signal for drift detection: misclassification indicator of the
-        # current leaf model, evaluated before training (test-then-train).
-        prediction = int(leaf.model.predict(x.reshape(1, -1))[0])
+        # leaf model before it trains on the row (test-then-train).
+        prediction = leaf.model.sgd_step(x_aug, y_idx, predict=True)
         error = float(prediction != y_idx)
-
-        leaf.learn_one(x, y_idx)
 
         # Page-Hinkley at every inner node on the path; prune on alert.
         for ancestor, ancestor_branch in path:

@@ -40,6 +40,17 @@ def make_multiclass_blobs(n: int, n_classes: int = 3, n_features: int = 5, seed:
     return X, y
 
 
+def batch_schedule(rng, total, max_batch=60):
+    """Random batch sizes covering ``total`` rows, always including size 1."""
+    sizes = [1]
+    covered = 1
+    while covered < total:
+        size = int(rng.integers(1, max_batch))
+        sizes.append(min(size, total - covered))
+        covered += sizes[-1]
+    return sizes
+
+
 @pytest.fixture
 def linear_binary():
     return make_linear_binary(600, seed=7)

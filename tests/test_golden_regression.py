@@ -24,7 +24,9 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "small_grid.json
 #: The golden grid: two classic streams plus one catalogued scenario, small
 #: enough to recompute in CI on every run, and two multiclass cells (KDDCup
 #: with 23 classes, Poker-Hand with 9) that pin the summation order of the
-#: class-weighted F1 beyond the binary case.
+#: class-weighted F1 beyond the binary case.  The two FIMT-DD cells grow a
+#: tree and pin its leaf SGD bit for bit, binary (SEA) and with 7 classes
+#: (Covertype).
 GOLDEN_CONFIGS = [
     RunConfig(
         model=model, dataset=dataset, scale=0.002, seed=42, batch_fraction=0.05
@@ -33,7 +35,12 @@ GOLDEN_CONFIGS = [
     for dataset in ("sea", "electricity", "stagger_abrupt")
 ] + [
     RunConfig(model=model, dataset=dataset, scale=0.002, seed=42, batch_fraction=0.05)
-    for model, dataset in (("dmt", "kdd"), ("vfdt_mc", "poker"))
+    for model, dataset in (
+        ("dmt", "kdd"),
+        ("vfdt_mc", "poker"),
+        ("fimtdd", "sea"),
+        ("fimtdd", "covertype"),
+    )
 ]
 
 

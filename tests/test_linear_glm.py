@@ -195,3 +195,48 @@ class TestTraining:
         assert binary.feature_weights().shape == (1, 4)
         multi = IncrementalGLM(n_features=4, n_classes=3, rng=0)
         assert multi.feature_weights().shape == (3, 4)
+
+
+class TestSGDStep:
+    """``sgd_step`` is one ``update`` on a one-row batch, and its returned
+    index is the ``predict`` taken before the step."""
+
+    @staticmethod
+    def _check_row(model, x, label):
+        other = model.clone(warm_start=True)
+        expected = int(np.argmax(model.predict_proba(x[None, :])[0]))
+        predicted = model.sgd_step(model.augment(x)[0], label, predict=True)
+        other.update(x[None, :], np.array([label]))
+        assert predicted == expected
+        assert model.weights.tobytes() == other.weights.tobytes()
+        return predicted
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_classes=st.integers(2, 5),
+        n_features=st.integers(1, 8),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    )
+    def test_step_matches_predict_then_update(
+        self, seed, n_classes, n_features, scale
+    ):
+        generator = np.random.default_rng(seed)
+        model = IncrementalGLM(
+            n_features=n_features, n_classes=n_classes, learning_rate=0.3, rng=seed
+        )
+        for _ in range(15):
+            x = generator.normal(size=n_features) * scale
+            self._check_row(model, x, int(generator.integers(n_classes)))
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_tie_predicts_first_class(self, n_classes):
+        # Zero weights give p = 0.5 (binary) or a uniform softmax row.
+        model = IncrementalGLM(n_features=2, n_classes=n_classes, rng=0)
+        model.weights = np.zeros_like(model.weights)
+        assert np.all(model.predict_proba(np.ones((1, 2))) == 1.0 / n_classes)
+        assert self._check_row(model, np.ones(2), n_classes - 1) == 0
+
+    def test_step_without_predict_returns_none(self):
+        model = IncrementalGLM(n_features=2, n_classes=3, rng=0)
+        assert model.sgd_step(model.augment(np.ones(2))[0], 1) is None

@@ -25,18 +25,12 @@ from repro.core.candidates import (
 from repro.evaluation.prequential import PrequentialEvaluator
 from repro.linear.glm import IncrementalGLM
 from repro.streams.synthetic import SEAGenerator
-from tests.conftest import make_glm_batch, make_multiclass_blobs, make_xor
-
-
-def _batch_schedule(rng, total, max_batch=60):
-    """Random batch sizes covering ``total`` rows, always including size 1."""
-    sizes = [1]
-    covered = 1
-    while covered < total:
-        size = int(rng.integers(1, max_batch))
-        sizes.append(min(size, total - covered))
-        covered += sizes[-1]
-    return sizes
+from tests.conftest import (
+    batch_schedule,
+    make_glm_batch,
+    make_multiclass_blobs,
+    make_xor,
+)
 
 
 def _random_batches(seed, total=300, n_features=3, n_params=5, constant_feature=False):
@@ -48,7 +42,7 @@ def _random_batches(seed, total=300, n_features=3, n_params=5, constant_feature=
     grad = rng.normal(size=(total, n_params))
     batches = []
     start = 0
-    for size in _batch_schedule(rng, total):
+    for size in batch_schedule(rng, total):
         batches.append(
             (X[start : start + size], loss[start : start + size], grad[start : start + size])
         )
@@ -238,7 +232,7 @@ class TestGLMEquivalence:
         X = rng.uniform(size=(total, 3))
         y = rng.integers(0, n_classes, size=total)
         start = 0
-        for size in _batch_schedule(rng, total):
+        for size in batch_schedule(rng, total):
             xb, yb = X[start : start + size], y[start : start + size]
             start += size
             fast.fit_incremental(xb, yb)
@@ -275,7 +269,7 @@ class TestDMTEquivalence:
         fast = DynamicModelTree(random_state=seed)
         slow = DynamicModelTree(random_state=seed, vectorized=False)
         start = 0
-        for size in _batch_schedule(rng, len(X), max_batch=120):
+        for size in batch_schedule(rng, len(X), max_batch=120):
             xb, yb = X[start : start + size], y[start : start + size]
             start += size
             fast.partial_fit(xb, yb, classes=[0, 1])

@@ -95,8 +95,8 @@ class TestDriftAdaptation:
             grace_period=150, ph_threshold=20.0, random_state=4
         )
         _stream_fit(model, X, y, [0, 1], batch=100)
-        if model.n_split_events > 0:
-            assert model.n_pruned_branches >= 0
+        assert model.n_split_events >= 1
+        assert model.n_pruned_branches >= 1
 
     def test_max_depth_limits_growth(self):
         X, y = make_xor(6000, seed=5)
@@ -112,9 +112,9 @@ class TestComplexityCounting:
         model = FIMTDDClassifier(random_state=0)
         model.partial_fit(X, y, classes=[0, 1])
         report = model.complexity()
-        if model.n_nodes == 1:
-            assert report.n_splits == 1
-            assert report.n_parameters == 6
+        assert model.n_nodes == 1
+        assert report.n_splits == 1
+        assert report.n_parameters == 6
 
     def test_nodes_are_counted(self):
         X, y = make_xor(8000, seed=6)
