@@ -2,9 +2,9 @@
 
 For VFDT and HT-Ada (and, for information, the Adaptive Random Forest) on
 SEA and Agrawal at batch sizes 32 and 256, trains two instances with
-identical seeds on the same rows -- one with ``vectorized=True`` (batched
-leaf routing, structure-of-arrays observers, sweep-based split scoring,
-batched detector feeds) and one with ``vectorized=False`` (the per-row /
+identical seeds on the same rows -- the model (batched leaf routing,
+structure-of-arrays observers, sweep-based split scoring, batched detector
+feeds) and its oracle from ``tests/oracles.py`` (the per-row /
 per-threshold reference loops) -- and times ``partial_fit``.
 
 Two gates:
@@ -22,9 +22,10 @@ Two gates:
 Timings interleave the fast and reference runs and keep the best of
 ``REPRO_BENCH_BASELINES_REPEATS`` repeats each, which damps scheduler noise
 on shared machines.  Writes ``BENCH_baselines.json`` next to the repository
-root.  Run with::
+root.  Run from the repository root, with ``src`` and the root (for
+``tests.oracles``) on the path::
 
-    PYTHONPATH=src python benchmarks/bench_baselines.py
+    PYTHONPATH=src:. python benchmarks/bench_baselines.py
 
 Environment knobs: ``REPRO_BENCH_BASELINES_ROWS`` (rows per tree run,
 default 12000), ``REPRO_BENCH_BASELINES_ROWS_ARF`` (rows per ARF run,
@@ -45,6 +46,11 @@ from repro.evaluation.prequential import PrequentialEvaluator
 from repro.streams.synthetic import AgrawalGenerator, SEAGenerator
 from repro.trees.hat import HoeffdingAdaptiveTreeClassifier
 from repro.trees.vfdt import HoeffdingTreeClassifier
+from tests.oracles import (
+    ReferenceARF,
+    ReferenceHoeffdingAdaptiveTree,
+    ReferenceHoeffdingTree,
+)
 
 OUTPUT_PATH = os.path.normpath(
     os.path.join(
@@ -59,23 +65,27 @@ REPEATS = int(os.environ.get("REPRO_BENCH_BASELINES_REPEATS", "5"))
 
 MODELS = {
     "vfdt": {
-        "factory": lambda vectorized: HoeffdingTreeClassifier(vectorized=vectorized),
+        "factory": lambda reference: (
+            ReferenceHoeffdingTree if reference else HoeffdingTreeClassifier
+        )(),
         "rows_env": "REPRO_BENCH_BASELINES_ROWS",
         "rows_default": 12000,
         "gated": True,
     },
     "ht_ada": {
-        "factory": lambda vectorized: HoeffdingAdaptiveTreeClassifier(
-            vectorized=vectorized
-        ),
+        "factory": lambda reference: (
+            ReferenceHoeffdingAdaptiveTree
+            if reference
+            else HoeffdingAdaptiveTreeClassifier
+        )(),
         "rows_env": "REPRO_BENCH_BASELINES_ROWS",
         "rows_default": 12000,
         "gated": True,
     },
     "arf": {
-        "factory": lambda vectorized: AdaptiveRandomForestClassifier(
-            random_state=SEED, vectorized=vectorized
-        ),
+        "factory": lambda reference: (
+            ReferenceARF if reference else AdaptiveRandomForestClassifier
+        )(random_state=SEED),
         "rows_env": "REPRO_BENCH_BASELINES_ROWS_ARF",
         "rows_default": 4000,
         "gated": False,
@@ -114,11 +124,11 @@ def _train_interleaved(make_model, X, y, classes, batch_size: int):
     fast_model = reference_model = None
     fast_seconds = reference_seconds = float("inf")
     for _ in range(max(REPEATS, 1)):
-        candidate = make_model(True)
+        candidate = make_model(False)
         seconds = _train(candidate, X, y, classes, batch_size)
         if seconds < fast_seconds:
             fast_seconds, fast_model = seconds, candidate
-        candidate = make_model(False)
+        candidate = make_model(True)
         seconds = _train(candidate, X, y, classes, batch_size)
         if seconds < reference_seconds:
             reference_seconds, reference_model = seconds, candidate
@@ -148,9 +158,11 @@ def _assert_bit_identical(name, fast, reference, X_heldout) -> None:
 def _summary_equivalence(n_rows: int) -> bool:
     """deterministic_summary() of a full prequential run, both paths."""
     summaries = []
-    for vectorized in (True, False):
+    for model_class in (
+        HoeffdingAdaptiveTreeClassifier, ReferenceHoeffdingAdaptiveTree
+    ):
         stream = SEAGenerator(n_samples=n_rows, noise=0.1, seed=SEED)
-        model = HoeffdingAdaptiveTreeClassifier(vectorized=vectorized)
+        model = model_class()
         result = PrequentialEvaluator(batch_size=64).evaluate(
             model, stream, model_name="ht_ada", dataset_name="sea"
         )

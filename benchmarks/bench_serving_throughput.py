@@ -3,15 +3,17 @@
 Measures, on a trained Dynamic Model Tree:
 
 1. rows/sec of the legacy per-row inference loop
-   (``DynamicModelTree._predict_proba_per_row``),
+   (``dmt_predict_proba_per_row`` of ``tests/oracles.py``),
 2. rows/sec of the vectorized inference path (``predict_proba`` via
    ``DMTNode.route_batch`` + per-leaf matrix ops),
 3. end-to-end ``ScoringService.predict_proba`` latency (registry lookup,
    batching and metrics accounting included).
 
-Writes ``BENCH_serving.json`` next to this file.  Run with::
+Writes ``BENCH_serving.json`` next to the repository root.  Run from the
+repository root, with ``src`` and the root (for ``tests.oracles``) on the
+path::
 
-    PYTHONPATH=src python benchmarks/bench_serving_throughput.py
+    PYTHONPATH=src:. python benchmarks/bench_serving_throughput.py
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import time
 import numpy as np
 
 from repro import DynamicModelTree, ModelRegistry, ScoringService
+from tests.oracles import dmt_predict_proba_per_row
 
 BATCH_ROWS = 10_000
 REPEATS = 5
@@ -56,10 +59,10 @@ def main() -> dict:
 
     # Correctness gate before timing anything.
     np.testing.assert_allclose(
-        model.predict_proba(X), model._predict_proba_per_row(X), rtol=0.0, atol=1e-12
+        model.predict_proba(X), dmt_predict_proba_per_row(model, X), rtol=0.0, atol=1e-12
     )
 
-    per_row_seconds = _time_call(model._predict_proba_per_row, X)
+    per_row_seconds = _time_call(dmt_predict_proba_per_row, model, X)
     vectorized_seconds = _time_call(model.predict_proba, X)
 
     registry = ModelRegistry()

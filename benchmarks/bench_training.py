@@ -1,10 +1,11 @@
 """DMT training-path benchmark: per-row reference vs. vectorized ``partial_fit``.
 
 For every dataset in {SEA, Agrawal, Hyperplane} and batch size in {1, 32,
-256}, trains two ``DynamicModelTree`` instances with identical seeds on the
-same rows -- one with ``vectorized=True`` (structure-of-arrays candidate
-store, fast per-observation SGD) and one with ``vectorized=False`` (the
-per-row / per-candidate reference loops) -- and times ``partial_fit``.
+256}, trains two trees with identical seeds on the same rows -- the
+``DynamicModelTree`` (structure-of-arrays candidate store, fast
+per-observation SGD) and its oracle ``ReferenceDynamicModelTree`` from
+``tests/oracles.py`` (the per-row / per-candidate reference loops) -- and
+times ``partial_fit``.
 
 Two gates:
 
@@ -17,9 +18,11 @@ Two gates:
    Batch size 1 is reported for information only (both paths degenerate to
    per-row work at that granularity).
 
-Writes ``BENCH_training.json`` next to the repository root.  Run with::
+Writes ``BENCH_training.json`` next to the repository root.  Run from the
+repository root, with ``src`` and the root (for ``tests.oracles``) on the
+path::
 
-    PYTHONPATH=src python benchmarks/bench_training.py
+    PYTHONPATH=src:. python benchmarks/bench_training.py
 
 Environment knobs: ``REPRO_BENCH_TRAINING_ROWS`` (rows per batched run,
 default 6000), ``REPRO_BENCH_TRAINING_ROWS_B1`` (rows for the batch-size-1
@@ -42,6 +45,7 @@ from repro.streams.synthetic import (
     HyperplaneGenerator,
     SEAGenerator,
 )
+from tests.oracles import ReferenceDynamicModelTree
 
 OUTPUT_PATH = os.path.normpath(
     os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_training.json")
@@ -113,9 +117,9 @@ def _assert_bit_identical(fast, reference, X_heldout) -> None:
 def _summary_equivalence(n_rows: int) -> bool:
     """deterministic_summary() of a full prequential run, both paths."""
     summaries = []
-    for vectorized in (True, False):
+    for model_class in (DynamicModelTree, ReferenceDynamicModelTree):
         stream = SEAGenerator(n_samples=n_rows, noise=0.1, seed=SEED)
-        model = DynamicModelTree(random_state=SEED, vectorized=vectorized)
+        model = model_class(random_state=SEED)
         result = PrequentialEvaluator(batch_size=64).evaluate(
             model, stream, model_name="dmt", dataset_name="sea"
         )
@@ -142,7 +146,7 @@ def main() -> dict:
                 X_train, y_train, classes, batch_size,
             )
             reference, reference_seconds = _train_best_of(
-                lambda: DynamicModelTree(random_state=SEED, vectorized=False),
+                lambda: ReferenceDynamicModelTree(random_state=SEED),
                 X_train, y_train, classes, batch_size,
             )
             _assert_bit_identical(fast, reference, X_heldout)

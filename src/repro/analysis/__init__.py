@@ -5,8 +5,7 @@ only slowly and indirectly: RNG discipline (counter-based Philox blocks
 only -- the chunk-invariance contract of the stream core), wall-clock
 discipline (no clock reads in deterministic layers), telemetry-guard
 discipline (every ``TELEMETRY`` call site pays one attribute read when
-disabled), vectorized parity (every ``vectorized`` flag keeps its reference
-path) and lock discipline (the mutable fields of a lock-owning class are
+disabled) and lock discipline (the mutable fields of a lock-owning class are
 touched under its lock).
 
 Invariants that a design can make unbreakable are not checked here.
@@ -14,7 +13,10 @@ Persistable classes register with the codec where they are defined
 (:mod:`repro.persistence.registry`), which also enforces the
 ``_repro_transient`` contract at registration and on decode; metric, span
 and event names are module constants of :mod:`repro.telemetry`, so a typo
-is an ImportError.
+is an ImportError.  The scalar references the bit-equivalence tests compare
+against are subclasses in ``tests/oracles.py``, not flags of the product, and
+``tests/test_oracles.py`` checks that each one still overrides kernels the
+product defines.
 
 :mod:`repro.analysis` runs per-module AST rules: a driver walks
 ``src/repro``, runs a set of :class:`~repro.analysis.core.Checker` plugins,

@@ -32,7 +32,6 @@ def default_checkers() -> tuple[Checker, ...]:
         LockDisciplineChecker,
         RngDisciplineChecker,
         TelemetryGuardChecker,
-        VectorizedParityChecker,
         WallClockChecker,
     )
 
@@ -40,7 +39,6 @@ def default_checkers() -> tuple[Checker, ...]:
         RngDisciplineChecker(),
         WallClockChecker(),
         TelemetryGuardChecker(),
-        VectorizedParityChecker(),
         LockDisciplineChecker(),
     )
 

@@ -16,7 +16,7 @@ field, candidates in insertion order), so the per-batch refresh of every
 stored candidate is a single broadcast mask matrix ``X[:, feats] <= thrs``
 followed by one ``(n, k) x (n, p)`` contraction instead of a Python loop per
 candidate.  The accumulation primitives are chosen for bit-equivalence with
-the retained per-candidate reference path (``vectorized=False``): losses and
+the per-candidate reference loops in ``tests/oracles.py``: losses and
 gradients use ``np.einsum`` (sequential accumulation over rows, exactly like
 summing the masked rows of a loss-augmented gradient matrix along axis 0)
 rather than a BLAS matmul, whose blocked partial sums differ in the last
@@ -25,8 +25,8 @@ order as the scalar reference in :func:`approximate_candidate_loss`.
 
 Admission bound.  Once the store is full, a fresh candidate enters only by
 beating the weakest stored gain ``w``, and most fresh candidates cannot.  The
-vectorized path skips the exact statistics of those candidates without
-changing any output.  Take a batch of ``n`` rows with per-sample losses
+store skips the exact statistics of those candidates without changing any
+output.  Take a batch of ``n`` rows with per-sample losses
 ``ℓₙ``, per-sample gradients ``gₙ``, batch loss ``L_b``, batch gradient
 ``G = Σₙ gₙ`` and learning rate ``λ``.  A fresh candidate sends ``c_l`` rows
 left and ``c_r = n − c_l`` rows right, with subset losses ``L_l + L_r = L_b``
@@ -66,8 +66,8 @@ each of which loses at most ``u·t``.  The bound is used only while that
 scale stays below ``2¹⁰⁰⁰``, so no step of the sweep or the bound overflows
 and every fresh gain is finite.  It is not used while a stored gain is NaN:
 the admission loop admits any newcomer that meets a NaN.  Nothing about it
-is configurable.  The ``vectorized=False`` reference never prunes and stays
-the oracle the vectorized path is tested against.
+is configurable.  The per-candidate reference in ``tests/oracles.py`` never
+prunes and stays the oracle the store is tested against.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ class CandidateStatistics:
     """Accumulated left-partition statistics of one split candidate.
 
     Used as the materialised per-candidate view of the structure-of-arrays
-    store, as the scalar reference implementation for the vectorized gain
-    sweep, and as the payload format of legacy serialized models.
+    store, as the scalar reference implementation of the gain sweep, and as
+    the payload format of legacy serialized models.
     """
 
     feature: int
@@ -167,11 +167,11 @@ def augment_batch(
 ) -> np.ndarray:
     """Gradient matrix with the per-sample loss as an extra last column.
 
-    The candidate store accumulates losses and gradients through the same
-    sequential axis-0 summation (reference path) or einsum contraction
-    (vectorized path) of this one matrix -- a separate 1-D
+    The candidate store accumulates losses and gradients through one einsum
+    contraction of this matrix, the same sequential summation as the
+    reference's axis-0 sum of its masked rows -- a separate 1-D
     ``loss[mask].sum()`` would sum the compressed subset pairwise and drift
-    from the vectorized path in the last ulp.  The column layout (loss last)
+    from the contraction in the last ulp.  The column layout (loss last)
     is a contract between this function, :meth:`CandidateManager.update_stored`
     and :meth:`DMTNode.update_statistics`.
     """
@@ -315,11 +315,6 @@ class CandidateManager:
         single batch.  If a batch contains more unique values, evenly spaced
         quantiles are used instead; this mirrors how practical incremental
         trees bound the candidate space for continuous features.
-    vectorized:
-        Whether batch updates and gain queries use the vectorized
-        structure-of-arrays primitives (the default) or the per-candidate
-        reference loops.  Both paths are bit-equivalent; the reference path
-        exists for verification and benchmarking.
     """
 
     #: Pure caches skipped by the persistence encoder and rebuilt by
@@ -327,16 +322,12 @@ class CandidateManager:
     #: stored a dict of :class:`CandidateStatistics`).
     _repro_transient = ("_key_index", "_candidate_counters")
 
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
-
     def __init__(
         self,
         n_features: int,
         max_candidates: int | None = None,
         replacement_rate: float = 0.5,
         max_values_per_feature: int = 10,
-        vectorized: bool = True,
     ) -> None:
         if n_features < 1:
             raise ValueError(f"n_features must be >= 1, got {n_features}.")
@@ -359,7 +350,6 @@ class CandidateManager:
             )
         self.replacement_rate = float(replacement_rate)
         self.max_values_per_feature = int(max_values_per_feature)
-        self.vectorized = bool(vectorized)
         self._features = np.zeros(0, dtype=np.intp)
         self._thresholds = np.zeros(0, dtype=float)
         self._losses = np.zeros(0, dtype=float)
@@ -468,33 +458,17 @@ class CandidateManager:
     def propose_thresholds(self, X: np.ndarray) -> dict[int, np.ndarray]:
         """Candidate thresholds per feature observed in the current batch.
 
-        The vectorized path batches all features through one sort and one
-        quantile interpolation (:meth:`_propose_concat`); the reference path
-        keeps the original per-feature ``np.unique``/``np.quantile`` calls.
-        Both produce bit-identical threshold values.
+        All features go through one sort and one quantile interpolation
+        (:meth:`_propose_concat`), bit-identical to per-feature
+        ``np.unique``/``np.quantile`` calls.
         """
         X = np.asarray(X, dtype=float)
-        if self.vectorized:
-            features, thresholds = self._propose_concat(X)
-            boundaries = np.searchsorted(
-                features, np.arange(self.n_features + 1)
-            )
-            return {
-                feature: thresholds[boundaries[feature] : boundaries[feature + 1]]
-                for feature in range(self.n_features)
-            }
-        proposals: dict[int, np.ndarray] = {}
-        quantiles: np.ndarray | None = None
-        for feature in range(self.n_features):
-            values = np.unique(X[:, feature])
-            if len(values) > self.max_values_per_feature:
-                if quantiles is None:
-                    quantiles = np.linspace(
-                        0.0, 1.0, self.max_values_per_feature + 2
-                    )[1:-1]
-                values = np.unique(np.quantile(values, quantiles))
-            proposals[feature] = values
-        return proposals
+        features, thresholds = self._propose_concat(X)
+        boundaries = np.searchsorted(features, np.arange(self.n_features + 1))
+        return {
+            feature: thresholds[boundaries[feature] : boundaries[feature + 1]]
+            for feature in range(self.n_features)
+        }
 
     def _propose_concat(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All proposed ``(feature, threshold)`` pairs of a batch at once.
@@ -574,27 +548,11 @@ class CandidateManager:
         self._ensure_width(per_sample_gradient.shape[1])
         if augmented is None:
             augmented = augment_batch(per_sample_loss, per_sample_gradient)
-        if self.vectorized:
-            masks = X[:, self._features] <= self._thresholds
-            sums = np.einsum("nk,np->kp", masks.astype(float), augmented)
-            self._gradients += sums[:, :-1]
-            self._losses += sums[:, -1]
-            self._counts += masks.sum(axis=0)
-        else:
-            self._update_stored_per_candidate(X, augmented)
-
-    def _update_stored_per_candidate(
-        self, X: np.ndarray, augmented: np.ndarray
-    ) -> None:
-        """Reference implementation: one Python-loop mask per candidate."""
-        for index in range(len(self._features)):
-            mask = X[:, self._features[index]] <= self._thresholds[index]
-            if not np.any(mask):
-                continue
-            sums = augmented[mask].sum(axis=0)
-            self._losses[index] += sums[-1]
-            self._gradients[index] += sums[:-1]
-            self._counts[index] += mask.sum()
+        masks = X[:, self._features] <= self._thresholds
+        sums = np.einsum("nk,np->kp", masks.astype(float), augmented)
+        self._gradients += sums[:, :-1]
+        self._losses += sums[:, -1]
+        self._counts += masks.sum(axis=0)
 
     def consider_new(
         self,
@@ -628,7 +586,7 @@ class CandidateManager:
         budget = int(np.floor(self.replacement_rate * self.max_candidates))
 
         stored_gains = stored_order = admission = weakest_gain = None
-        if self.vectorized and len(self._features) >= self.max_candidates:
+        if len(self._features) >= self.max_candidates:
             # Full store: skip what provably cannot beat the weakest stored
             # gain (the admission bound of the module docstring).
             if budget == 0:
@@ -654,35 +612,16 @@ class CandidateManager:
             return
         fresh_features, fresh_thresholds, fresh_losses, fresh_gradients, fresh_counts = fresh
 
-        if self.vectorized:
-            fresh_gains = candidate_gain_sweep(
-                fresh_losses,
-                fresh_gradients,
-                fresh_counts,
-                node_loss=batch_loss,
-                node_gradient=batch_gradient,
-                node_count=batch_count,
-                learning_rate=learning_rate,
-                assume_counts_positive=True,
-            )
-        else:
-            fresh_gains = np.array(
-                [
-                    CandidateStatistics(
-                        feature=int(fresh_features[index]),
-                        threshold=float(fresh_thresholds[index]),
-                        loss=float(fresh_losses[index]),
-                        gradient=fresh_gradients[index],
-                        count=float(fresh_counts[index]),
-                    ).gain(
-                        node_loss=batch_loss,
-                        node_gradient=batch_gradient,
-                        node_count=batch_count,
-                        learning_rate=learning_rate,
-                    )
-                    for index in range(len(fresh_features))
-                ]
-            )
+        fresh_gains = candidate_gain_sweep(
+            fresh_losses,
+            fresh_gradients,
+            fresh_counts,
+            node_loss=batch_loss,
+            node_gradient=batch_gradient,
+            node_count=batch_count,
+            learning_rate=learning_rate,
+            assume_counts_positive=True,
+        )
 
         # Stable descending order == the stable Python sort it replaces:
         # ties keep proposal order (feature, then threshold ascending).
@@ -758,29 +697,17 @@ class CandidateManager:
         ``admission`` bound, candidates whose bound is ``<= weakest_gain``
         are dropped before their statistics are summed.
         """
-        if self.vectorized:
-            fresh_features, fresh_thresholds = self._propose_concat(X)
-            if len(self._features):
-                # Drop proposals already stored: exact (feature, threshold)
-                # matches, the same comparison the key-dict lookup performs.
-                duplicate = (
-                    (fresh_features[:, None] == self._features)
-                    & (fresh_thresholds[:, None] == self._thresholds)
-                ).any(axis=1)
-                if duplicate.any():
-                    fresh_features = fresh_features[~duplicate]
-                    fresh_thresholds = fresh_thresholds[~duplicate]
-        else:
-            features: list[int] = []
-            thresholds: list[float] = []
-            for feature, values in self.propose_thresholds(X).items():
-                for value in values:
-                    if (feature, float(value)) in self._key_index:
-                        continue
-                    features.append(feature)
-                    thresholds.append(float(value))
-            fresh_features = np.array(features, dtype=np.intp)
-            fresh_thresholds = np.array(thresholds, dtype=float)
+        fresh_features, fresh_thresholds = self._propose_concat(X)
+        if len(self._features):
+            # Drop proposals already stored: exact (feature, threshold)
+            # matches, the same comparison the key-dict lookup performs.
+            duplicate = (
+                (fresh_features[:, None] == self._features)
+                & (fresh_thresholds[:, None] == self._thresholds)
+            ).any(axis=1)
+            if duplicate.any():
+                fresh_features = fresh_features[~duplicate]
+                fresh_thresholds = fresh_thresholds[~duplicate]
         if not len(fresh_features):
             return None
         masks = X[:, fresh_features] <= fresh_thresholds
@@ -794,33 +721,23 @@ class CandidateManager:
         fresh_thresholds = fresh_thresholds[informative]
         masks = masks[:, informative]
         counts = counts[informative]
-        if self.vectorized:
-            weights = masks.astype(float)
-            if admission is not None:
-                bounds = admission.candidate_bounds(weights, counts)
-                keep = ~(bounds <= weakest_gain)
-                if not keep.any():
-                    return None
-                if not keep.all():
-                    fresh_features = fresh_features[keep]
-                    fresh_thresholds = fresh_thresholds[keep]
-                    weights = weights[:, keep]
-                    counts = counts[keep]
-            sums = np.einsum("nk,np->kp", weights, augmented)
-            gradients = sums[:, :-1]
-            losses = sums[:, -1]
-        else:
-            losses = np.zeros(len(fresh_features))
-            gradients = np.zeros((len(fresh_features), augmented.shape[1] - 1))
-            for index in range(len(fresh_features)):
-                sums = augmented[masks[:, index]].sum(axis=0)
-                losses[index] = sums[-1]
-                gradients[index] = sums[:-1]
+        weights = masks.astype(float)
+        if admission is not None:
+            bounds = admission.candidate_bounds(weights, counts)
+            keep = ~(bounds <= weakest_gain)
+            if not keep.any():
+                return None
+            if not keep.all():
+                fresh_features = fresh_features[keep]
+                fresh_thresholds = fresh_thresholds[keep]
+                weights = weights[:, keep]
+                counts = counts[keep]
+        sums = np.einsum("nk,np->kp", weights, augmented)
         return (
             fresh_features,
             fresh_thresholds,
-            losses,
-            gradients,
+            sums[:, -1],
+            sums[:, :-1],
             counts.astype(float),
         )
 
@@ -832,30 +749,17 @@ class CandidateManager:
         learning_rate: float,
         reference_loss: float | None,
     ) -> np.ndarray:
-        """Gains of every stored candidate (vectorized sweep or reference)."""
-        if self.vectorized:
-            return candidate_gain_sweep(
-                self._losses,
-                self._gradients,
-                self._counts,
-                node_loss=node_loss,
-                node_gradient=node_gradient,
-                node_count=node_count,
-                learning_rate=learning_rate,
-                reference_loss=reference_loss,
-                assume_counts_positive=True,
-            )
-        return np.array(
-            [
-                self._materialize(index).gain(
-                    node_loss=node_loss,
-                    node_gradient=node_gradient,
-                    node_count=node_count,
-                    learning_rate=learning_rate,
-                    reference_loss=reference_loss,
-                )
-                for index in range(len(self._features))
-            ]
+        """Gains of every stored candidate in one sweep."""
+        return candidate_gain_sweep(
+            self._losses,
+            self._gradients,
+            self._counts,
+            node_loss=node_loss,
+            node_gradient=node_gradient,
+            node_count=node_count,
+            learning_rate=learning_rate,
+            reference_loss=reference_loss,
+            assume_counts_positive=True,
         )
 
     # ---------------------------------------------------------------- query

@@ -62,12 +62,6 @@ class DynamicModelTree(StreamClassifier):
         a limit is useful as an operational safeguard.
     random_state:
         Seed for the random initialisation of the root model.
-    vectorized:
-        Whether training uses the vectorized hot path (structure-of-arrays
-        candidate store, fast per-observation SGD) or the per-row/
-        per-candidate reference implementations.  Both are bit-equivalent;
-        the reference path exists for verification and benchmarking
-        (``benchmarks/bench_training.py``).
 
     Examples
     --------
@@ -82,9 +76,6 @@ class DynamicModelTree(StreamClassifier):
     (5,)
     """
 
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
-
     def __init__(
         self,
         learning_rate: float = 0.05,
@@ -94,7 +85,6 @@ class DynamicModelTree(StreamClassifier):
         max_values_per_feature: int = 10,
         max_depth: int | None = None,
         random_state: int | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__()
         check_positive(learning_rate, "learning_rate")
@@ -118,7 +108,6 @@ class DynamicModelTree(StreamClassifier):
         self.max_values_per_feature = int(max_values_per_feature)
         self.max_depth = max_depth
         self.random_state = random_state
-        self.vectorized = bool(vectorized)
         self._rng = check_random_state(random_state)
         self.root: DMTNode | None = None
 
@@ -137,7 +126,6 @@ class DynamicModelTree(StreamClassifier):
                 n_classes=max(self.n_classes_, 2),
                 learning_rate=self.learning_rate,
                 rng=self._rng,
-                vectorized=self.vectorized,
             )
         return DMTNode(
             model=model,
@@ -145,7 +133,6 @@ class DynamicModelTree(StreamClassifier):
             max_candidates=self.n_candidates_factor * self.n_features_,
             replacement_rate=self.replacement_rate,
             max_values_per_feature=self.max_values_per_feature,
-            vectorized=self.vectorized,
         )
 
     def partial_fit(
@@ -292,27 +279,6 @@ class DynamicModelTree(StreamClassifier):
         # If fewer classes were observed than the model supports (binary
         # GLM always emits two columns), renormalise over the observed
         # classes.
-        row_sums = proba.sum(axis=1, keepdims=True)
-        row_sums[row_sums == 0.0] = 1.0
-        return proba / row_sums
-
-    def _predict_proba_per_row(self, X: np.ndarray) -> np.ndarray:
-        """Reference implementation: route and score one row at a time.
-
-        Kept as the correctness baseline for the vectorised path (see
-        ``tests/test_serving.py``) and as the slow contender in
-        ``benchmarks/bench_serving_throughput.py``.
-        """
-        X, _ = self._validate_input(X)
-        if self.root is None or self.classes_ is None:
-            raise RuntimeError("predict_proba() called before partial_fit().")
-        n_model_classes = self.root.model.n_classes
-        width = min(n_model_classes, self.n_classes_)
-        proba = np.zeros((len(X), self.n_classes_))
-        for row, x in enumerate(X):
-            leaf = self.root.sorted_leaf(x)
-            leaf_proba = leaf.model.predict_proba(x.reshape(1, -1))[0]
-            proba[row, :width] = leaf_proba[:width]
         row_sums = proba.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0.0] = 1.0
         return proba / row_sums

@@ -45,7 +45,6 @@ class DMTNode:
         max_candidates: int | None,
         replacement_rate: float,
         max_values_per_feature: int,
-        vectorized: bool = True,
     ) -> None:
         self.model = model
         self.n_features = int(n_features)
@@ -57,7 +56,6 @@ class DMTNode:
             max_candidates=max_candidates,
             replacement_rate=replacement_rate,
             max_values_per_feature=max_values_per_feature,
-            vectorized=vectorized,
         )
         self.split_feature: int | None = None
         self.split_threshold: float | None = None
@@ -210,13 +208,12 @@ class DMTNode:
                 child_model.weights
                 - child_model.learning_rate * step.reshape(child_model.weights.shape)
             )
-        return DMTNode(
+        return type(self)(
             model=child_model,
             n_features=self.n_features,
             max_candidates=self.candidates.max_candidates,
             replacement_rate=self.candidates.replacement_rate,
             max_values_per_feature=self.candidates.max_values_per_feature,
-            vectorized=self.candidates.vectorized,
         )
 
     def apply_split(self, candidate: CandidateStatistics) -> None:

@@ -26,7 +26,6 @@ from repro.telemetry import (
 from repro.ensembles.bagging import (
     accumulate_member_votes,
     detector_saw_mean_increase,
-    make_default_member,
 )
 from repro.trees.vfdt import HoeffdingTreeClassifier
 from repro.utils.validation import check_positive, check_random_state
@@ -77,13 +76,7 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
         Confidence levels of the per-tree ADWIN warning and drift detectors.
     random_state:
         Seed controlling feature subspaces and Poisson draws.
-    vectorized:
-        Whether batched resampling, detector feeds and vote alignment are
-        used (the default) or the per-row reference loops.  Bit-identical.
     """
-
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
 
     def __init__(
         self,
@@ -94,7 +87,6 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
         warning_delta: float = 0.01,
         drift_delta: float = 0.001,
         random_state: int | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__()
         if n_estimators < 1:
@@ -111,7 +103,6 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
         self.warning_delta = float(warning_delta)
         self.drift_delta = float(drift_delta)
         self.random_state = random_state
-        self.vectorized = bool(vectorized)
         self._rng = check_random_state(random_state)
         self.members_: list[_ForestMember] = []
         self.n_warnings = 0
@@ -154,13 +145,12 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
         if not self.members_:
             self._init_members()
 
-        if self.vectorized:
-            # One generator call for the whole batch: numpy fills the matrix
-            # in the same draw order as the per-member calls below, and the
-            # detector updates between the draws consume no randomness.
-            weight_matrix = self._rng.poisson(
-                self.poisson_lambda, size=(self.n_estimators, len(X))
-            )
+        # One generator call for the whole batch fills the matrix in the
+        # same draw order as one call per member (the detector updates in
+        # between consume no randomness).
+        weight_matrix = self._rng.poisson(
+            self.poisson_lambda, size=(self.n_estimators, len(X))
+        )
         for member_idx, member in enumerate(self.members_):
             X_sub = X[:, member.feature_indices]
 
@@ -171,23 +161,10 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
             if member.tree.classes_ is not None:
                 predictions = member.tree.predict(X_sub)
                 errors = (predictions != y).astype(float)
-                if self.vectorized:
-                    warning = detector_saw_mean_increase(
-                        member.warning_detector, errors
-                    )
-                    drift = detector_saw_mean_increase(
-                        member.drift_detector, errors
-                    )
-                else:
-                    warning = False
-                    drift = False
-                    for error in errors:
-                        before = member.warning_detector.mean
-                        if member.warning_detector.update(error):
-                            warning = warning or member.warning_detector.mean > before
-                        before = member.drift_detector.mean
-                        if member.drift_detector.update(error):
-                            drift = drift or member.drift_detector.mean > before
+                warning = detector_saw_mean_increase(
+                    member.warning_detector, errors
+                )
+                drift = detector_saw_mean_increase(member.drift_detector, errors)
                 if warning and member.background_tree is None:
                     member.background_tree = self._make_estimator()
                     self.n_warnings += 1
@@ -213,10 +190,7 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
                         ).inc()
 
             # Online bagging update of the foreground (and background) tree.
-            if self.vectorized:
-                weights = weight_matrix[member_idx]
-            else:
-                weights = self._rng.poisson(self.poisson_lambda, size=len(X))
+            weights = weight_matrix[member_idx]
             mask = weights > 0
             if not np.any(mask):
                 continue
@@ -228,7 +202,7 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
         return self
 
     def _make_estimator(self) -> StreamClassifier:
-        return make_default_member(self.base_estimator_factory, self.vectorized)
+        return self.base_estimator_factory()
 
     # ------------------------------------------------------------ inference
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -241,7 +215,7 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
                 continue
             proba = member.tree.predict_proba(X[:, member.feature_indices])
             accumulate_member_votes(
-                votes, proba, member.tree.classes_, self.classes_, self.vectorized
+                votes, proba, member.tree.classes_, self.classes_
             )
         row_sums = votes.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0.0] = 1.0

@@ -5,11 +5,11 @@ every observation to each ensemble member ``k ~ Poisson(λ)`` times.  It is
 the common substrate of the Leveraging Bagging and Adaptive Random Forest
 baselines.
 
-The vectorized path draws the whole ``(n_estimators, n)`` Poisson weight
-matrix with one generator call per batch (numpy fills it in the same draw
-order as the per-member calls, so the resampling is bit-identical) and
-aligns member votes onto the ensemble's class space with one ``searchsorted``
-scatter instead of a Python loop per member column.
+Each batch draws the whole ``(n_estimators, n)`` Poisson weight matrix with
+one generator call (numpy fills it in the same draw order as per-member
+calls, so the resampling is bit-identical to them) and aligns member votes
+onto the ensemble's class space with one ``searchsorted`` scatter instead of
+a Python loop per member column.
 """
 
 from __future__ import annotations
@@ -24,49 +24,26 @@ from repro.trees.vfdt import HoeffdingTreeClassifier
 from repro.utils.validation import check_positive, check_random_state
 
 
-def make_default_member(factory, vectorized: bool) -> StreamClassifier:
-    """Build one ensemble member; default members follow the ensemble's flag.
-
-    Custom factories stay untouched, but when the member type is the stock
-    Hoeffding tree the ensemble's ``vectorized`` setting carries over, so
-    ``vectorized=False`` yields a full reference ensemble (the two member
-    paths are bit-identical either way).
-    """
-    estimator = factory()
-    if factory is HoeffdingTreeClassifier:
-        estimator.vectorized = vectorized
-    return estimator
-
-
 def accumulate_member_votes(
     votes: np.ndarray,
     proba: np.ndarray,
     member_classes: np.ndarray,
     ensemble_classes: np.ndarray,
-    vectorized: bool,
 ) -> None:
     """Add one member's class-aligned votes in place.
 
-    The vectorized path scatters all matching columns at once; distinct
-    member labels map to distinct targets, so the fancy-indexed addition
-    touches disjoint columns and matches the per-column reference adds
-    bit-for-bit.
+    All matching columns are scattered at once; distinct member labels map
+    to distinct targets, so the fancy-indexed addition touches disjoint
+    columns and matches per-column adds bit-for-bit.
     """
-    n_classes = len(ensemble_classes)
-    if vectorized:
-        targets = np.searchsorted(ensemble_classes, member_classes)
-        valid = targets < n_classes
-        if np.any(valid):
-            clipped = targets[valid]
-            valid_columns = np.flatnonzero(valid)
-            matches = ensemble_classes[clipped] == member_classes[valid_columns]
-            if np.any(matches):
-                votes[:, clipped[matches]] += proba[:, valid_columns[matches]]
-        return
-    for column, label in enumerate(member_classes):
-        target = np.searchsorted(ensemble_classes, label)
-        if target < n_classes and ensemble_classes[target] == label:
-            votes[:, target] += proba[:, column]
+    targets = np.searchsorted(ensemble_classes, member_classes)
+    valid = targets < len(ensemble_classes)
+    if np.any(valid):
+        clipped = targets[valid]
+        valid_columns = np.flatnonzero(valid)
+        matches = ensemble_classes[clipped] == member_classes[valid_columns]
+        if np.any(matches):
+            votes[:, clipped[matches]] += proba[:, valid_columns[matches]]
 
 
 def detector_saw_mean_increase(detector: "ADWIN", errors: np.ndarray) -> bool:
@@ -107,13 +84,7 @@ class OzaBaggingClassifier(StreamClassifier):
         6.0 for Leveraging Bagging).
     random_state:
         Seed controlling the Poisson draws.
-    vectorized:
-        Whether the batched resampling/vote-alignment kernels are used (the
-        default) or the per-member reference loops.  Both are bit-identical.
     """
-
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
 
     def __init__(
         self,
@@ -121,7 +92,6 @@ class OzaBaggingClassifier(StreamClassifier):
         base_estimator_factory: Callable[[], StreamClassifier] | None = None,
         poisson_lambda: float = 1.0,
         random_state: int | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__()
         if n_estimators < 1:
@@ -135,14 +105,13 @@ class OzaBaggingClassifier(StreamClassifier):
         )
         self.poisson_lambda = float(poisson_lambda)
         self.random_state = random_state
-        self.vectorized = bool(vectorized)
         self._rng = check_random_state(random_state)
         self.estimators_: list[StreamClassifier] = [
             self._make_estimator() for _ in range(self.n_estimators)
         ]
 
     def _make_estimator(self) -> StreamClassifier:
-        return make_default_member(self.base_estimator_factory, self.vectorized)
+        return self.base_estimator_factory()
 
     # -------------------------------------------------------------- fitting
     def reset(self) -> "OzaBaggingClassifier":
@@ -174,24 +143,10 @@ class OzaBaggingClassifier(StreamClassifier):
     def _batch_weights(self, n: int) -> np.ndarray:
         """Poisson weights of the whole batch, shape ``(n_estimators, n)``.
 
-        One generator call fills the matrix in the same order as the
-        per-member reference draws, so both paths consume the random stream
-        identically.
+        One generator call fills the matrix in the same order as one draw
+        per member would, so it consumes the random stream identically.
         """
-        if self.vectorized:
-            return self._rng.poisson(
-                self.poisson_lambda, size=(self.n_estimators, n)
-            )
-        return np.stack(
-            [
-                self._sample_weights(n, estimator_idx)
-                for estimator_idx in range(self.n_estimators)
-            ]
-        )
-
-    def _sample_weights(self, n: int, estimator_idx: int) -> np.ndarray:
-        """Poisson weights for one estimator on the current batch."""
-        return self._rng.poisson(self.poisson_lambda, size=n)
+        return self._rng.poisson(self.poisson_lambda, size=(self.n_estimators, n))
 
     # ------------------------------------------------------------ inference
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -204,7 +159,7 @@ class OzaBaggingClassifier(StreamClassifier):
                 continue
             proba = estimator.predict_proba(X)
             accumulate_member_votes(
-                votes, proba, estimator.classes_, self.classes_, self.vectorized
+                votes, proba, estimator.classes_, self.classes_
             )
         row_sums = votes.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0.0] = 1.0

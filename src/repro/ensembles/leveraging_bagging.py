@@ -47,14 +47,12 @@ class LeveragingBaggingClassifier(OzaBaggingClassifier):
         poisson_lambda: float = 6.0,
         adwin_delta: float = 0.002,
         random_state: int | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(
             n_estimators=n_estimators,
             base_estimator_factory=base_estimator_factory,
             poisson_lambda=poisson_lambda,
             random_state=random_state,
-            vectorized=vectorized,
         )
         self.adwin_delta = float(adwin_delta)
         self._detectors = [ADWIN(delta=adwin_delta) for _ in range(self.n_estimators)]
@@ -84,15 +82,8 @@ class LeveragingBaggingClassifier(OzaBaggingClassifier):
                 continue
             predictions = estimator.predict(X)
             errors = (predictions != y).astype(float)
-            detector = self._detectors[estimator_idx]
-            if self.vectorized:
-                if detector_saw_mean_increase(detector, errors):
-                    change_detected = True
-            else:
-                for error in errors:
-                    before = detector.mean
-                    if detector.update(error) and detector.mean > before:
-                        change_detected = True
+            if detector_saw_mean_increase(self._detectors[estimator_idx], errors):
+                change_detected = True
 
         if change_detected:
             # Reset the member with the highest estimated error.

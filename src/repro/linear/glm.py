@@ -68,16 +68,7 @@ class IncrementalGLM:
         Standard deviation of the Gaussian weight initialisation.  The paper
         notes that random initial weights mainly affect the root node because
         all other nodes are warm-started from their parent.
-    vectorized:
-        Whether :meth:`fit_incremental` uses the fast per-observation SGD
-        path (hoisted augmentation, one :meth:`sgd_step` per row) or the
-        per-row reference loop (one :meth:`update` per row).  Both are
-        bit-equivalent; the reference path exists for verification and
-        benchmarking.
     """
-
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
 
     def __init__(
         self,
@@ -86,7 +77,6 @@ class IncrementalGLM:
         learning_rate: float = 0.05,
         rng=None,
         init_scale: float = 0.01,
-        vectorized: bool = True,
     ) -> None:
         if n_features < 1:
             raise ValueError(f"n_features must be >= 1, got {n_features}.")
@@ -97,7 +87,6 @@ class IncrementalGLM:
         self.n_classes = int(n_classes)
         self.learning_rate = float(learning_rate)
         self.init_scale = float(init_scale)
-        self.vectorized = bool(vectorized)
         generator = check_random_state(rng)
         self.weights = generator.normal(
             0.0, self.init_scale, size=self._weight_shape()
@@ -123,13 +112,12 @@ class IncrementalGLM:
         weights from ``rng``; pass a seed or generator to make the cold
         start reproducible (an unseeded generator is used otherwise).
         """
-        copy = IncrementalGLM(
+        copy = type(self)(
             n_features=self.n_features,
             n_classes=self.n_classes,
             learning_rate=self.learning_rate,
             rng=rng,
             init_scale=self.init_scale,
-            vectorized=self.vectorized,
         )
         if warm_start:
             copy.weights = self.weights.copy()
@@ -247,7 +235,7 @@ class IncrementalGLM:
         plain incremental SGD update here.  No model of this package trains
         with mini-batch steps: the DMT nodes use :meth:`fit_incremental` and
         the FIMT-DD leaves :meth:`sgd_step`.  On a one-row batch this is the
-        step of :meth:`_fit_incremental_reference`.
+        step :meth:`sgd_step` takes.
         """
         X = self._coerce_batch(X)
         if X is None:
@@ -283,39 +271,22 @@ class IncrementalGLM:
         This is the classic online learning update (and the one the Dynamic
         Model Tree nodes use): every observation of the batch triggers a step
         of size ``learning_rate`` on its own gradient, computed at the current
-        weights.  Equivalent to :meth:`update` for a batch of size one.
-        ``X_aug`` optionally supplies a precomputed :meth:`augment` of the
-        batch so callers that already augmented it (the DMT node update)
-        avoid a second pass; only the fast path uses it.  FIMT-DD, which
-        routes every observation before training on it, calls
+        weights.  Equivalent to :meth:`update` for a batch of size one, and
+        bit-identical to one :meth:`update` per row.  ``X_aug`` optionally
+        supplies a precomputed :meth:`augment` of the batch so callers that
+        already augmented it (the DMT node update) avoid a second pass.
+        FIMT-DD, which routes every observation before training on it, calls
         :meth:`sgd_step` per row instead.
+
+        The intercept augmentation is hoisted out of the loop and every row
+        takes one :meth:`sgd_step`.  The steps work on a private copy of the
+        weights, so the caller's array is replaced, not mutated, as
+        :meth:`update` replaces it.
         """
         X = self._coerce_batch(X)
         if X is None:
             return self
         y = np.asarray(y, dtype=int)
-        if self.vectorized:
-            return self._fit_incremental_fast(X, y, X_aug)
-        return self._fit_incremental_reference(X, y)
-
-    def _fit_incremental_reference(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> "IncrementalGLM":
-        """Reference implementation: one :meth:`update` per observation."""
-        for row in range(len(X)):
-            self.update(X[row : row + 1], y[row : row + 1])
-        return self
-
-    def _fit_incremental_fast(
-        self, X: np.ndarray, y: np.ndarray, X_aug: np.ndarray | None = None
-    ) -> "IncrementalGLM":
-        """Fast per-observation SGD, bit-identical to the reference loop.
-
-        The intercept augmentation is hoisted out of the loop and every row
-        takes one :meth:`sgd_step`.  The steps work on a private copy of the
-        weights, so the caller's array is replaced, not mutated, as in the
-        reference loop.
-        """
         X_aug = self.augment(X) if X_aug is None else X_aug
         self.weights = self.weights.copy()
         step = self.sgd_step

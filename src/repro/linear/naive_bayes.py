@@ -28,9 +28,6 @@ class GaussianNaiveBayes:
         when a class has seen constant feature values.
     """
 
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
-
     def __init__(
         self, n_features: int, n_classes: int, var_smoothing: float = 1e-6
     ) -> None:
@@ -92,22 +89,13 @@ class GaussianNaiveBayes:
         # log N(x | mean, var) per class, summed over features.  The
         # broadcast over a (n, n_classes, n_features) stack reduces each
         # (row, class) pair over the same contiguous feature axis as the
-        # per-class reference loop, so the two are bit-identical.
-        if self.vectorized:
-            diff = X[:, None, :] - self._means[None, :, :]
-            log_likelihood = -0.5 * np.sum(
-                np.log(2.0 * np.pi * variances)[None, :, :]
-                + diff**2 / variances[None, :, :],
-                axis=2,
-            )
-        else:
-            log_likelihood = np.empty((len(X), self.n_classes))
-            for class_idx in range(self.n_classes):
-                diff = X - self._means[class_idx]
-                var = variances[class_idx]
-                log_likelihood[:, class_idx] = -0.5 * np.sum(
-                    np.log(2.0 * np.pi * var) + diff**2 / var, axis=1
-                )
+        # per-class loop in tests/oracles.py, so the two are bit-identical.
+        diff = X[:, None, :] - self._means[None, :, :]
+        log_likelihood = -0.5 * np.sum(
+            np.log(2.0 * np.pi * variances)[None, :, :]
+            + diff**2 / variances[None, :, :],
+            axis=2,
+        )
         log_joint = log_prior + log_likelihood
         log_joint -= log_joint.max(axis=1, keepdims=True)
         proba = np.exp(log_joint)

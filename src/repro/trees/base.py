@@ -8,10 +8,10 @@ prune.
 
 Leaves store their attribute statistics in one structure-of-arrays
 :class:`~repro.trees.observers.LeafObservers` store and support both
-per-observation (reference) and bulk (vectorized) updates; the two are
-bit-identical.  Batches are routed to the leaves with one partition per
-split node (:func:`route_batch_groups`) instead of one root-to-leaf descent
-per row, mirroring ``DMTNode.route_batch``.
+per-observation and bulk updates; the two are bit-identical.  Batches are
+routed to the leaves with one partition per split node
+(:func:`route_batch_groups`) instead of one root-to-leaf descent per row,
+mirroring ``DMTNode.route_batch``.
 """
 
 from __future__ import annotations
@@ -243,16 +243,14 @@ class LeafNode:
 
     # ---------------------------------------------------------------- split
     def best_split_suggestions(
-        self, criterion: SplitCriterion, vectorized: bool = True
+        self, criterion: SplitCriterion
     ) -> list[SplitSuggestion]:
         """Best suggestion per feature plus the null (do-not-split) suggestion."""
         suggestions = [
             SplitSuggestion(feature=-1, threshold=0.0, merit=0.0)  # null split
         ]
         suggestions.extend(
-            self._observers.best_split_suggestions(
-                criterion, self.class_dist, vectorized=vectorized
-            )
+            self._observers.best_split_suggestions(criterion, self.class_dist)
         )
         return suggestions
 

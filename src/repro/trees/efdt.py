@@ -60,7 +60,6 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
         max_depth: int | None = None,
         nominal_features: set[int] | None = None,
         reevaluation_period: int = 1000,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(
             grace_period=grace_period,
@@ -71,7 +70,6 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
             n_split_points=n_split_points,
             max_depth=max_depth,
             nominal_features=nominal_features,
-            vectorized=vectorized,
         )
         if reevaluation_period < 1:
             raise ValueError(
@@ -91,10 +89,10 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
     def _partial_fit_vectorized(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         """EFDT keeps inner-node statistics alive along every root-to-leaf
         path, so each row updates ``O(depth)`` learning leaves and training
-        cannot be chunked the way the plain VFDT is.  The vectorized flag
-        still pays off: the split/re-evaluation sweeps (the dominant cost,
-        re-run every ``reevaluation_period`` rows at *every* inner node) and
-        batched inference use the structure-of-arrays kernels."""
+        cannot be chunked the way the plain VFDT is.  The split/re-evaluation
+        sweeps (the dominant cost, re-run every ``reevaluation_period`` rows
+        at *every* inner node) and batched inference still use the
+        structure-of-arrays kernels."""
         for row in range(len(X)):
             self._learn_one(X[row], int(y_idx[row]))
 
@@ -153,9 +151,7 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
         self, leaf: LeafNode, parent: SplitNode | None, branch: int
     ) -> "EFDTSplitNode | None":
         """EFDT splits as soon as the best attribute beats *not splitting*."""
-        suggestions = leaf.best_split_suggestions(
-            self._criterion, vectorized=self.vectorized
-        )
+        suggestions = leaf.best_split_suggestions(self._criterion)
         real = [s for s in suggestions if s.feature != -1]
         if not real:
             return None
@@ -224,9 +220,7 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
         Returns ``True`` when the node was replaced.
         """
         self.n_reevaluations += 1
-        suggestions = node.stats.best_split_suggestions(
-            self._criterion, vectorized=self.vectorized
-        )
+        suggestions = node.stats.best_split_suggestions(self._criterion)
         real = [s for s in suggestions if s.feature != -1]
         if not real:
             return False

@@ -95,11 +95,9 @@ class FIMTLeaf:
         self._observers = value
 
     def best_sdr_suggestions(
-        self, criterion: VarianceReductionCriterion, vectorized: bool = True
+        self, criterion: VarianceReductionCriterion
     ) -> list[SplitSuggestion]:
-        return self._observers.best_sdr_suggestions(
-            criterion, vectorized=vectorized
-        )
+        return self._observers.best_sdr_suggestions(criterion)
 
 
 @register
@@ -128,9 +126,6 @@ class FIMTSplitNode:
         """Boolean left-branch mask of ``X[rows]``."""
         return X[rows, self.feature] <= self.threshold
 
-    def child_for(self, x: np.ndarray):
-        return self.children[self.branch_for(x)]
-
 
 class FIMTDDClassifier(StreamClassifier):
     """FIMT-DD model tree adapted to binary / multiclass classification.
@@ -153,16 +148,10 @@ class FIMTDDClassifier(StreamClassifier):
         Optional depth limit.
     random_state:
         Seed for the leaf-model initialisation.
-    vectorized:
-        Whether SDR split sweeps and inference use the batched kernels (the
-        default) or the per-threshold / per-row reference loops.  Training
-        statistics are identical either way; batched inference scores each
-        leaf's rows with one matrix operation, which may differ from the
-        per-row loop in the last ulp (BLAS blocking).
-    """
 
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
+    Inference scores each leaf's rows with one matrix operation, which may
+    differ from scoring one row at a time in the last ulp (BLAS blocking).
+    """
 
     def __init__(
         self,
@@ -175,7 +164,6 @@ class FIMTDDClassifier(StreamClassifier):
         ph_threshold: float = 50.0,
         max_depth: int | None = None,
         random_state: int | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__()
         check_positive(learning_rate, "learning_rate")
@@ -191,7 +179,6 @@ class FIMTDDClassifier(StreamClassifier):
         self.ph_threshold = float(ph_threshold)
         self.max_depth = max_depth
         self.random_state = random_state
-        self.vectorized = bool(vectorized)
         self._rng = check_random_state(random_state)
         self._criterion = VarianceReductionCriterion()
         self.root: FIMTLeaf | FIMTSplitNode | None = None
@@ -319,9 +306,7 @@ class FIMTDDClassifier(StreamClassifier):
     def _attempt_split(
         self, leaf: FIMTLeaf, parent: FIMTSplitNode | None, branch: int
     ) -> None:
-        suggestions = leaf.best_sdr_suggestions(
-            self._criterion, vectorized=self.vectorized
-        )
+        suggestions = leaf.best_sdr_suggestions(self._criterion)
         suggestions = [s for s in suggestions if np.isfinite(s.merit) and s.merit > 0]
         if not suggestions:
             return
@@ -375,8 +360,6 @@ class FIMTDDClassifier(StreamClassifier):
         X, _ = self._validate_input(X)
         if self.root is None or self.classes_ is None:
             raise RuntimeError("predict_proba() called before partial_fit().")
-        if not self.vectorized:
-            return self._predict_proba_per_row(X)
         proba = np.zeros((len(X), self.n_classes_))
         # One partition per split node, one model evaluation per leaf.
         stack: list[tuple[FIMTLeaf | FIMTSplitNode, np.ndarray]] = [
@@ -397,25 +380,6 @@ class FIMTDDClassifier(StreamClassifier):
                 continue
             leaf_proba = node.model.predict_proba(X[rows])
             proba[rows] = leaf_proba[:, : self.n_classes_]
-        row_sums = proba.sum(axis=1, keepdims=True)
-        row_sums[row_sums == 0.0] = 1.0
-        return proba / row_sums
-
-    def _predict_proba_per_row(self, X: np.ndarray) -> np.ndarray:
-        """Reference inference: one root-to-leaf walk and one model
-        evaluation per row.  May differ from the batched path in the last
-        ulp (BLAS blocks the batched matmul differently)."""
-        proba = np.zeros((len(X), self.n_classes_))
-        for row, x in enumerate(X):
-            node = self.root
-            while isinstance(node, FIMTSplitNode):
-                child = node.child_for(x)
-                if child is None:
-                    child = self._new_leaf(depth=node.depth + 1)
-                    node.children[node.branch_for(x)] = child
-                node = child
-            leaf_proba = node.model.predict_proba(x.reshape(1, -1))[0]
-            proba[row] = leaf_proba[: self.n_classes_]
         row_sums = proba.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0.0] = 1.0
         return proba / row_sums

@@ -9,13 +9,13 @@ majority voting.
 
 ADWIN updates are inherently sequential (every error depends on the leaf
 statistics accumulated from the rows before it), so HT-Ada cannot learn a
-batch with one kernel the way the plain VFDT does.  The vectorized path
-instead removes the per-row tree work: batches are routed once per split
-node (the root-to-leaf paths are cached until the structure changes) and the
-per-row subtree predictions -- which the reference recomputes at *every*
+batch with one kernel the way the plain VFDT does.  Training instead
+removes the per-row tree work: batches are routed once per split node (the
+root-to-leaf paths are cached until the structure changes) and the per-row
+subtree predictions -- which the per-row recursion recomputes at *every*
 node of the path, an ``O(depth^2)`` walk -- collapse to a single leaf
 evaluation, because every main-path node predicts through the same leaf.
-Both paths are bit-identical.
+The result is bit-identical to the recursion.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
         Minimum number of observations an alternate subtree must see before
         it may replace (or be discarded in favour of) the original branch.
     grace_period, split_confidence, tie_threshold, leaf_prediction,
-    split_criterion, n_split_points, max_depth, nominal_features, vectorized:
+    split_criterion, n_split_points, max_depth, nominal_features:
         As in :class:`~repro.trees.vfdt.HoeffdingTreeClassifier`.
     """
 
@@ -93,7 +93,6 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
         nominal_features: set[int] | None = None,
         adwin_delta: float = 0.002,
         alternate_min_weight: int = 150,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(
             grace_period=grace_period,
@@ -104,7 +103,6 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
             n_split_points=n_split_points,
             max_depth=max_depth,
             nominal_features=nominal_features,
-            vectorized=vectorized,
         )
         self.adwin_delta = float(adwin_delta)
         self.alternate_min_weight = int(alternate_min_weight)
@@ -265,7 +263,7 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
         """
         if self.leaf_prediction != "mc":
             # Naive Bayes leaf predictors interleave per-row model updates
-            # with per-row predictions; use the reference recursion.
+            # with per-row predictions; use the per-row recursion.
             for row in range(len(X)):
                 self._learn_one(X[row], int(y_idx[row]))
             return
@@ -311,7 +309,7 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
                         leaf_entries.append((node, list(path), parent, branch))
                 if bail_out:
                     # A missing child means the per-row walk would predict
-                    # from the split node itself; defer to the reference.
+                    # from the split node itself; defer to the recursion.
                     for row in range(start, n):
                         self._learn_one(X[row], int(y_idx[row]))
                     return

@@ -9,14 +9,13 @@ splits, so both observers only emit binary suggestions.
 Since the baseline vectorization, each leaf keeps *one*
 :class:`LeafObservers` store in structure-of-arrays form (per-class rows of
 Welford weight/mean/M2 triplets covering every feature at once) instead of a
-dict of per-feature observer objects.  The store exposes two equivalent
-query paths: a vectorized sweep that scores all candidate thresholds of all
-features in a handful of array operations, and a reference path that
-materialises the classic per-feature observers
-(:class:`GaussianAttributeObserver` / :class:`NominalAttributeObserver`) and
-runs their original per-threshold loops.  Both paths are bit-identical; the
-legacy classes also remain the decode target for models persisted before the
-structure-of-arrays layout.
+dict of per-feature observer objects.  The store scores all candidate
+thresholds of all features in a handful of array operations, bit-identical
+to the per-threshold loops of the classic per-feature observers
+(:class:`GaussianAttributeObserver` / :class:`NominalAttributeObserver`),
+which ``tests/oracles.py`` runs as the reference.  The legacy classes also
+remain the decode target for models persisted before the structure-of-arrays
+layout.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ def _erf_vec(z):
 
     Works elementwise on arrays and scalars; numpy's ufuncs produce the same
     bits for an array element as for the equivalent scalar call, so the
-    vectorized sweeps and the scalar reference path share this one function.
+    sweeps and the scalar observers share this one function.
     """
     sign = np.sign(z)
     z = abs(z)
@@ -320,8 +319,8 @@ class LeafObservers:
 
     Split-point queries materialise numpy arrays on demand:
     :meth:`best_split_suggestions` scores every candidate threshold of every
-    feature in one vectorized sweep (or, with ``vectorized=False``, through
-    the legacy per-feature observers), producing bit-identical suggestions.
+    feature in one sweep, bit-identical to the legacy per-feature observers'
+    suggestions.
     """
 
     __slots__ = (
@@ -598,37 +597,6 @@ class LeafObservers:
                 store._maxs[feature] = float(observer._max_value)
         return store
 
-    def as_legacy_observers(
-        self,
-    ) -> dict[int, "GaussianAttributeObserver | NominalAttributeObserver"]:
-        """Materialise classic per-feature observers (the reference path)."""
-        observers: dict[int, GaussianAttributeObserver | NominalAttributeObserver] = {}
-        for feature in range(self.n_features):
-            if feature in self.nominal_features:
-                observer = NominalAttributeObserver()
-                for value, counts in self._nominal.get(feature, {}).items():
-                    observer._counts[value] = {
-                        class_idx: weight
-                        for class_idx, weight in enumerate(counts)
-                        if weight != 0.0
-                    }
-                observers[feature] = observer
-            else:
-                observer = GaussianAttributeObserver(self.n_split_points)
-                for class_idx in range(self.n_classes):
-                    weight = self._weights[class_idx][feature]
-                    if weight == 0.0:
-                        continue
-                    estimator = GaussianEstimator()
-                    estimator.weight = weight
-                    estimator.mean = self._means[class_idx][feature]
-                    estimator._m2 = self._m2[class_idx][feature]
-                    observer._per_class[class_idx] = estimator
-                observer._min_value = self._mins[feature]
-                observer._max_value = self._maxs[feature]
-                observers[feature] = observer
-        return observers
-
     # ----------------------------------------------------------- suggestions
     @staticmethod
     def _first_max_indices(merits: np.ndarray) -> np.ndarray:
@@ -728,28 +696,10 @@ class LeafObservers:
         )
 
     def best_split_suggestions(
-        self,
-        criterion: SplitCriterion,
-        pre_split: np.ndarray,
-        vectorized: bool = True,
+        self, criterion: SplitCriterion, pre_split: np.ndarray
     ) -> list[SplitSuggestion]:
-        """Best suggestion per feature, in feature order.
-
-        ``vectorized=False`` materialises the legacy per-feature observers
-        and runs their original per-threshold loops; the default sweep is
-        bit-identical to that reference.
-        """
+        """Best suggestion per feature, in feature order."""
         pre_split = np.asarray(pre_split, dtype=float)
-        if not vectorized:
-            suggestions = []
-            for feature, observer in self.as_legacy_observers().items():
-                suggestion = observer.best_split_suggestion(
-                    criterion, pre_split, feature
-                )
-                if suggestion is not None:
-                    suggestions.append(suggestion)
-            return suggestions
-
         n_classes = len(pre_split)
         features = self._numeric_sweep_features()
         numeric: dict[int, SplitSuggestion] = {}
@@ -786,21 +736,9 @@ class LeafObservers:
         return suggestions
 
     def best_sdr_suggestions(
-        self,
-        criterion: VarianceReductionCriterion,
-        vectorized: bool = True,
+        self, criterion: VarianceReductionCriterion
     ) -> list[SplitSuggestion]:
         """Best SDR suggestion per numeric feature (the FIMT-DD criterion)."""
-        if not vectorized:
-            suggestions = []
-            for feature, observer in self.as_legacy_observers().items():
-                if isinstance(observer, NominalAttributeObserver):
-                    continue
-                suggestion = observer.best_sdr_suggestion(criterion, feature)
-                if suggestion is not None:
-                    suggestions.append(suggestion)
-            return suggestions
-
         features = self._numeric_sweep_features()
         if not len(features):
             return []

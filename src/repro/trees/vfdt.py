@@ -5,13 +5,12 @@ majority-class leaves (``leaf_prediction="mc"``) and with adaptive Naive
 Bayes leaves (``leaf_prediction="nba"``, Gama et al. 2003).  Only binary
 splits are produced, matching the paper's experimental configuration.
 
-Training and inference are vectorized by default: batches are partitioned
+Training and inference work on whole batches.  Each batch is partitioned
 once per split node so every leaf receives one sub-batch, leaf statistics
 are updated in bulk between split attempts, and candidate splits are scored
-with one sweep over all thresholds of all features.  ``vectorized=False``
-retains the original per-row / per-threshold reference loops; both paths are
-bit-identical (same splits, same predictions, same
-``deterministic_summary()``).
+with one sweep over all thresholds of all features.  The result is
+bit-identical to the per-row / per-threshold loops of ``tests/oracles.py``
+(same splits, same predictions, same ``deterministic_summary()``).
 """
 
 from __future__ import annotations
@@ -69,14 +68,7 @@ class HoeffdingTreeClassifier(StreamClassifier):
         Optional hard limit on the tree depth.
     nominal_features:
         Indices of nominal features (observed by value instead of Gaussian).
-    vectorized:
-        Whether training and inference use the batched kernels (the default)
-        or the per-row reference loops.  Both paths are bit-identical; the
-        reference exists for verification and benchmarking.
     """
-
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
 
     def __init__(
         self,
@@ -88,7 +80,6 @@ class HoeffdingTreeClassifier(StreamClassifier):
         n_split_points: int = 10,
         max_depth: int | None = None,
         nominal_features: set[int] | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__()
         check_positive(grace_period, "grace_period")
@@ -112,7 +103,6 @@ class HoeffdingTreeClassifier(StreamClassifier):
         self.n_split_points = int(n_split_points)
         self.max_depth = max_depth
         self.nominal_features = set(nominal_features or set())
-        self.vectorized = bool(vectorized)
         self.root: LeafNode | SplitNode | None = None
         self._criterion: SplitCriterion = _CRITERIA[split_criterion]()
         self.n_split_events = 0
@@ -145,29 +135,12 @@ class HoeffdingTreeClassifier(StreamClassifier):
         self._update_classes(y, classes)
         if self.root is None:
             self.root = self._new_leaf(depth=0)
-        y_idx = self.class_index(y)
-        if self.vectorized:
-            self._partial_fit_vectorized(X, y_idx)
-        else:
-            for row in range(len(X)):
-                self._learn_one(X[row], int(y_idx[row]))
+        self._partial_fit_vectorized(X, self.class_index(y))
         return self
-
-    def _learn_one(self, x: np.ndarray, y_idx: int) -> None:
-        leaf, parent, branch = self._sort_to_leaf(x)
-        leaf.learn_one(x, y_idx, n_classes=max(self.n_classes_, 2))
-        if self._can_split(leaf):
-            weight_seen = leaf.total_weight
-            if (
-                weight_seen - leaf.weight_at_last_split_attempt
-                >= self.grace_period
-            ):
-                leaf.weight_at_last_split_attempt = weight_seen
-                self._attempt_split(leaf, parent, branch)
 
     # ---------------------------------------------------- vectorized fitting
     def _partial_fit_vectorized(self, X: np.ndarray, y_idx: np.ndarray) -> None:
-        """Batched training, bit-identical to the per-row reference loop.
+        """Batched training, bit-identical to a per-row training loop.
 
         The batch is partitioned once per split node; each leaf then learns
         its rows in bulk up to the next split-attempt trigger (computed by an
@@ -464,36 +437,12 @@ class HoeffdingTreeClassifier(StreamClassifier):
             return False
         return True
 
-    def _sort_to_leaf(
-        self, x: np.ndarray
-    ) -> tuple[LeafNode, SplitNode | None, int]:
-        """Walk the tree and return (leaf, parent split node, branch index)."""
-        return self._descend_from(self.root, x)
-
-    def _descend_from(
-        self, node, x: np.ndarray
-    ) -> tuple[LeafNode, SplitNode | None, int]:
-        """Walk from ``node`` to the leaf for ``x``, creating missing children."""
-        parent: SplitNode | None = None
-        branch = 0
-        while isinstance(node, SplitNode):
-            parent = node
-            branch = node.branch_for(x)
-            child = node.children[branch]
-            if child is None:
-                child = self._new_leaf(depth=node.depth + 1)
-                node.children[branch] = child
-            node = child
-        return node, parent, branch
-
     # ---------------------------------------------------------------- split
     def _attempt_split(
         self, leaf: LeafNode, parent: SplitNode | None, branch: int
     ) -> SplitNode | None:
         """Try to split ``leaf``; return the new split node if one was made."""
-        suggestions = leaf.best_split_suggestions(
-            self._criterion, vectorized=self.vectorized
-        )
+        suggestions = leaf.best_split_suggestions(self._criterion)
         suggestions.sort(key=lambda suggestion: suggestion.merit)
         if len(suggestions) < 2:
             return None
@@ -591,32 +540,18 @@ class HoeffdingTreeClassifier(StreamClassifier):
             raise RuntimeError("predict_proba() called before partial_fit().")
         n_classes = max(self.n_classes_, 2)
         proba = np.zeros((len(X), self.n_classes_))
-        if self.vectorized:
-            for node, rows in route_batch_groups(self.root, X):
-                if isinstance(node, SplitNode):
-                    # Missing child on the routed branch: fall back to the
-                    # split node's class distribution, as the per-row walk
-                    # does when it cannot descend further.
-                    proba[rows] = self._split_node_proba(node, n_classes)[
-                        : self.n_classes_
-                    ]
-                else:
-                    proba[rows] = node.predict_proba_batch(X[rows], n_classes)[
-                        :, : self.n_classes_
-                    ]
-        else:
-            for row, x in enumerate(X):
-                node = self.root
-                while isinstance(node, SplitNode):
-                    child = node.child_for(x)
-                    if child is None:
-                        break
-                    node = child
-                if isinstance(node, SplitNode):
-                    leaf_proba = self._split_node_proba(node, n_classes)
-                else:
-                    leaf_proba = node.predict_proba(x, n_classes)
-                proba[row] = leaf_proba[: self.n_classes_]
+        for node, rows in route_batch_groups(self.root, X):
+            if isinstance(node, SplitNode):
+                # Missing child on the routed branch: fall back to the split
+                # node's class distribution, as a per-row walk does when it
+                # cannot descend further.
+                proba[rows] = self._split_node_proba(node, n_classes)[
+                    : self.n_classes_
+                ]
+            else:
+                proba[rows] = node.predict_proba_batch(X[rows], n_classes)[
+                    :, : self.n_classes_
+                ]
         row_sums = proba.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0.0] = 1.0
         return proba / row_sums

@@ -1,0 +1,822 @@
+"""Scalar reference implementations (test oracles) of the package's kernels.
+
+Every batched kernel in ``src/repro`` has one code path.  The per-row,
+per-candidate, per-threshold, per-class and per-member loops it is pinned
+against live here, as subclasses that override the product's kernel methods
+and as plain functions.  The bit-equivalence tests and the benchmark scripts
+``bench_training.py``, ``bench_baselines.py`` and
+``bench_serving_throughput.py`` compare the product against them.
+
+Import this module as ``tests.oracles`` only.  Its ``StreamClassifier``
+subclasses register with the persistence codec under their ``__qualname__``
+when the module is imported, so importing it a second time under another
+module name raises ``ValueError``.
+
+:data:`ORACLE_KERNELS` names the product methods each oracle class
+overrides; ``tests/test_oracles.py`` checks that every one is defined in the
+oracle's own ``__dict__`` and still exists on the product class, so an
+equivalence test cannot silently turn into a self-comparison.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.candidates import (
+    CandidateManager,
+    CandidateStatistics,
+    augment_batch,
+)
+from repro.core.dmt import DynamicModelTree
+from repro.core.nodes import DMTNode
+from repro.drift.adwin import ADWIN
+from repro.ensembles.adaptive_random_forest import AdaptiveRandomForestClassifier
+from repro.ensembles.bagging import OzaBaggingClassifier
+from repro.ensembles.leveraging_bagging import LeveragingBaggingClassifier
+from repro.linear.glm import IncrementalGLM
+from repro.linear.naive_bayes import GaussianNaiveBayes
+from repro.telemetry import (
+    DMT_CANDIDATES,
+    ENSEMBLE_MEMBER_DRIFT,
+    ENSEMBLE_MEMBER_DRIFTS_TOTAL,
+    TELEMETRY,
+)
+from repro.trees.base import SplitNode
+from repro.trees.efdt import ExtremelyFastDecisionTreeClassifier
+from repro.trees.fimtdd import FIMTDDClassifier, FIMTSplitNode
+from repro.trees.hat import HoeffdingAdaptiveTreeClassifier
+from repro.trees.observers import (
+    GaussianAttributeObserver,
+    GaussianEstimator,
+    LeafObservers,
+    NominalAttributeObserver,
+)
+from repro.trees.vfdt import HoeffdingTreeClassifier
+
+
+# ------------------------------------------------------------------- linear
+class ReferenceGLM(IncrementalGLM):
+    """Instance-incremental SGD as one :meth:`update` per observation."""
+
+    def fit_incremental(self, X, y, X_aug=None):
+        X = self._coerce_batch(X)
+        if X is None:
+            return self
+        y = np.asarray(y, dtype=int)
+        for row in range(len(X)):
+            self.update(X[row : row + 1], y[row : row + 1])
+        return self
+
+
+class ReferenceGaussianNaiveBayes(GaussianNaiveBayes):
+    """Log-likelihoods computed one class at a time."""
+
+    def predict_proba(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X.reshape(1, -1)
+        if self.total_count == 0:
+            return np.full((len(X), self.n_classes), 1.0 / self.n_classes)
+        log_prior = np.log(
+            np.maximum(self.class_counts, 1e-12) / max(self.total_count, 1e-12)
+        )
+        variances = self._variances()
+        log_likelihood = np.empty((len(X), self.n_classes))
+        for class_idx in range(self.n_classes):
+            diff = X - self._means[class_idx]
+            var = variances[class_idx]
+            log_likelihood[:, class_idx] = -0.5 * np.sum(
+                np.log(2.0 * np.pi * var) + diff**2 / var, axis=1
+            )
+        log_joint = log_prior + log_likelihood
+        log_joint -= log_joint.max(axis=1, keepdims=True)
+        proba = np.exp(log_joint)
+        return proba / proba.sum(axis=1, keepdims=True)
+
+
+# --------------------------------------------------------------------- core
+class ReferenceCandidateManager(CandidateManager):
+    """The candidate store with one Python loop per candidate.
+
+    Proposes thresholds per feature with ``np.unique``/``np.quantile``,
+    accumulates each candidate from its own mask, scores each candidate
+    through :meth:`CandidateStatistics.gain` and never applies the admission
+    bound.
+    """
+
+    def propose_thresholds(self, X):
+        X = np.asarray(X, dtype=float)
+        proposals: dict[int, np.ndarray] = {}
+        quantiles: np.ndarray | None = None
+        for feature in range(self.n_features):
+            values = np.unique(X[:, feature])
+            if len(values) > self.max_values_per_feature:
+                if quantiles is None:
+                    quantiles = np.linspace(
+                        0.0, 1.0, self.max_values_per_feature + 2
+                    )[1:-1]
+                values = np.unique(np.quantile(values, quantiles))
+            proposals[feature] = values
+        return proposals
+
+    def update_stored(self, X, per_sample_loss, per_sample_gradient, augmented=None):
+        if not len(self._features):
+            return
+        X = np.asarray(X, dtype=float)
+        per_sample_loss = np.asarray(per_sample_loss, dtype=float)
+        per_sample_gradient = np.asarray(per_sample_gradient, dtype=float)
+        self._ensure_width(per_sample_gradient.shape[1])
+        if augmented is None:
+            augmented = augment_batch(per_sample_loss, per_sample_gradient)
+        for index in range(len(self._features)):
+            mask = X[:, self._features[index]] <= self._thresholds[index]
+            if not np.any(mask):
+                continue
+            sums = augmented[mask].sum(axis=0)
+            self._losses[index] += sums[-1]
+            self._gradients[index] += sums[:-1]
+            self._counts[index] += mask.sum()
+
+    def consider_new(
+        self,
+        X,
+        per_sample_loss,
+        per_sample_gradient,
+        node_loss,
+        node_gradient,
+        node_count,
+        learning_rate,
+        reference_loss=None,
+        augmented=None,
+    ):
+        X = np.asarray(X, dtype=float)
+        per_sample_loss = np.asarray(per_sample_loss, dtype=float)
+        per_sample_gradient = np.asarray(per_sample_gradient, dtype=float)
+        self._ensure_width(per_sample_gradient.shape[1])
+        if augmented is None:
+            augmented = augment_batch(per_sample_loss, per_sample_gradient)
+        batch_loss = float(per_sample_loss.sum())
+        batch_gradient = per_sample_gradient.sum(axis=0)
+        batch_count = float(len(per_sample_loss))
+        budget = int(np.floor(self.replacement_rate * self.max_candidates))
+
+        fresh = self._propose_fresh(X, augmented)
+        if fresh is None:
+            return
+        fresh_features, fresh_thresholds, fresh_losses, fresh_gradients, fresh_counts = fresh
+
+        fresh_gains = np.array(
+            [
+                CandidateStatistics(
+                    feature=int(fresh_features[index]),
+                    threshold=float(fresh_thresholds[index]),
+                    loss=float(fresh_losses[index]),
+                    gradient=fresh_gradients[index],
+                    count=float(fresh_counts[index]),
+                ).gain(
+                    node_loss=batch_loss,
+                    node_gradient=batch_gradient,
+                    node_count=batch_count,
+                    learning_rate=learning_rate,
+                )
+                for index in range(len(fresh_features))
+            ]
+        )
+
+        order = np.argsort(-fresh_gains, kind="stable")
+        free_slots = max(self.max_candidates - len(self._features), 0)
+        admitted = list(order[:free_slots])
+        remaining = order[free_slots:]
+
+        evicted: list[int] = []
+        if len(remaining) and budget > 0 and len(self._features):
+            stored_gains = self._stored_gains(
+                node_loss, node_gradient, node_count, learning_rate,
+                reference_loss,
+            )
+            stored_order = np.argsort(stored_gains, kind="stable")
+            for newcomer, weakest in zip(remaining, stored_order):
+                if len(evicted) >= budget:
+                    break
+                if fresh_gains[newcomer] <= stored_gains[weakest]:
+                    break
+                evicted.append(int(weakest))
+                admitted.append(newcomer)
+
+        if evicted:
+            keep = np.ones(len(self._features), dtype=bool)
+            keep[evicted] = False
+            self._features = self._features[keep]
+            self._thresholds = self._thresholds[keep]
+            self._losses = self._losses[keep]
+            self._counts = self._counts[keep]
+            self._gradients = self._gradients[keep]
+        if admitted:
+            self._features = np.concatenate(
+                [self._features, fresh_features[admitted]]
+            )
+            self._thresholds = np.concatenate(
+                [self._thresholds, fresh_thresholds[admitted]]
+            )
+            self._losses = np.concatenate([self._losses, fresh_losses[admitted]])
+            self._counts = np.concatenate([self._counts, fresh_counts[admitted]])
+            self._gradients = np.concatenate(
+                [self._gradients, fresh_gradients[admitted]], axis=0
+            )
+        if evicted or admitted:
+            self._rebuild_key_index()
+            if TELEMETRY.enabled:
+                TELEMETRY.emit(
+                    DMT_CANDIDATES,
+                    n_admitted=len(admitted),
+                    n_evicted=len(evicted),
+                    n_stored=len(self._features),
+                )
+                admitted_total, evicted_total = self._telemetry_counters()
+                admitted_total.inc(len(admitted))
+                if evicted:
+                    evicted_total.inc(len(evicted))
+
+    def _propose_fresh(self, X, augmented):
+        features: list[int] = []
+        thresholds: list[float] = []
+        for feature, values in self.propose_thresholds(X).items():
+            for value in values:
+                if (feature, float(value)) in self._key_index:
+                    continue
+                features.append(feature)
+                thresholds.append(float(value))
+        fresh_features = np.array(features, dtype=np.intp)
+        fresh_thresholds = np.array(thresholds, dtype=float)
+        if not len(fresh_features):
+            return None
+        masks = X[:, fresh_features] <= fresh_thresholds
+        counts = masks.sum(axis=0)
+        informative = (counts > 0) & (counts < len(X))
+        if not np.any(informative):
+            return None
+        fresh_features = fresh_features[informative]
+        fresh_thresholds = fresh_thresholds[informative]
+        masks = masks[:, informative]
+        counts = counts[informative]
+        losses = np.zeros(len(fresh_features))
+        gradients = np.zeros((len(fresh_features), augmented.shape[1] - 1))
+        for index in range(len(fresh_features)):
+            sums = augmented[masks[:, index]].sum(axis=0)
+            losses[index] = sums[-1]
+            gradients[index] = sums[:-1]
+        return (
+            fresh_features,
+            fresh_thresholds,
+            losses,
+            gradients,
+            counts.astype(float),
+        )
+
+    def _stored_gains(
+        self, node_loss, node_gradient, node_count, learning_rate, reference_loss
+    ):
+        return np.array(
+            [
+                self._materialize(index).gain(
+                    node_loss=node_loss,
+                    node_gradient=node_gradient,
+                    node_count=node_count,
+                    learning_rate=learning_rate,
+                    reference_loss=reference_loss,
+                )
+                for index in range(len(self._features))
+            ]
+        )
+
+
+class ReferenceDMTNode(DMTNode):
+    """A DMT node whose candidate store is :class:`ReferenceCandidateManager`.
+
+    ``DMTNode.make_child`` builds ``type(self)``, so every node of the tree
+    below a reference root is a reference node.
+    """
+
+    def __init__(
+        self, model, n_features, max_candidates, replacement_rate,
+        max_values_per_feature,
+    ):
+        super().__init__(
+            model, n_features, max_candidates, replacement_rate,
+            max_values_per_feature,
+        )
+        self.candidates = ReferenceCandidateManager(
+            n_features=n_features,
+            max_candidates=max_candidates,
+            replacement_rate=replacement_rate,
+            max_values_per_feature=max_values_per_feature,
+        )
+
+
+class ReferenceDynamicModelTree(DynamicModelTree):
+    """The DMT trained through :class:`ReferenceDMTNode` and :class:`ReferenceGLM`.
+
+    ``IncrementalGLM.clone`` builds ``type(self)``, so the warm-started child
+    models stay reference models.  Inference is the product's.
+    """
+
+    def _make_node(self, model=None):
+        if model is None:
+            model = ReferenceGLM(
+                n_features=self.n_features_,
+                n_classes=max(self.n_classes_, 2),
+                learning_rate=self.learning_rate,
+                rng=self._rng,
+            )
+        return ReferenceDMTNode(
+            model=model,
+            n_features=self.n_features_,
+            max_candidates=self.n_candidates_factor * self.n_features_,
+            replacement_rate=self.replacement_rate,
+            max_values_per_feature=self.max_values_per_feature,
+        )
+
+
+def dmt_predict_proba_per_row(model, X):
+    """``model.predict_proba(X)``, routing and scoring one row at a time."""
+    X, _ = model._validate_input(X)
+    if model.root is None or model.classes_ is None:
+        raise RuntimeError("predict_proba() called before partial_fit().")
+    n_model_classes = model.root.model.n_classes
+    width = min(n_model_classes, model.n_classes_)
+    proba = np.zeros((len(X), model.n_classes_))
+    for row, x in enumerate(X):
+        leaf = model.root.sorted_leaf(x)
+        leaf_proba = leaf.model.predict_proba(x.reshape(1, -1))[0]
+        proba[row, :width] = leaf_proba[:width]
+    row_sums = proba.sum(axis=1, keepdims=True)
+    row_sums[row_sums == 0.0] = 1.0
+    return proba / row_sums
+
+
+# -------------------------------------------------------------------- trees
+def legacy_observers(store):
+    """The classic per-feature observers holding ``store``'s statistics."""
+    observers = {}
+    for feature in range(store.n_features):
+        if feature in store.nominal_features:
+            observer = NominalAttributeObserver()
+            for value, counts in store._nominal.get(feature, {}).items():
+                observer._counts[value] = {
+                    class_idx: weight
+                    for class_idx, weight in enumerate(counts)
+                    if weight != 0.0
+                }
+            observers[feature] = observer
+        else:
+            observer = GaussianAttributeObserver(store.n_split_points)
+            for class_idx in range(store.n_classes):
+                weight = store._weights[class_idx][feature]
+                if weight == 0.0:
+                    continue
+                estimator = GaussianEstimator()
+                estimator.weight = weight
+                estimator.mean = store._means[class_idx][feature]
+                estimator._m2 = store._m2[class_idx][feature]
+                observer._per_class[class_idx] = estimator
+            observer._min_value = store._mins[feature]
+            observer._max_value = store._maxs[feature]
+            observers[feature] = observer
+    return observers
+
+
+class ReferenceLeafObservers(LeafObservers):
+    """Split suggestions from the legacy observers' per-threshold loops."""
+
+    __slots__ = ()
+
+    def best_split_suggestions(self, criterion, pre_split):
+        pre_split = np.asarray(pre_split, dtype=float)
+        suggestions = []
+        for feature, observer in legacy_observers(self).items():
+            suggestion = observer.best_split_suggestion(criterion, pre_split, feature)
+            if suggestion is not None:
+                suggestions.append(suggestion)
+        return suggestions
+
+    def best_sdr_suggestions(self, criterion):
+        suggestions = []
+        for feature, observer in legacy_observers(self).items():
+            if isinstance(observer, NominalAttributeObserver):
+                continue
+            suggestion = observer.best_sdr_suggestion(criterion, feature)
+            if suggestion is not None:
+                suggestions.append(suggestion)
+        return suggestions
+
+
+def _with_reference_observers(leaf):
+    """Swap a fresh leaf's empty store for a :class:`ReferenceLeafObservers`."""
+    leaf.observers = ReferenceLeafObservers(
+        n_features=leaf.n_features,
+        n_split_points=leaf.n_split_points,
+        nominal_features=getattr(leaf, "nominal_features", None),
+    )
+    return leaf
+
+
+def _partial_fit_per_row(self, X, y, classes=None):
+    """Train a Hoeffding tree one ``_learn_one`` call per row."""
+    X, y = self._validate_input(X, y)
+    self._update_classes(y, classes)
+    if self.root is None:
+        self.root = self._new_leaf(depth=0)
+    y_idx = self.class_index(y)
+    for row in range(len(X)):
+        self._learn_one(X[row], int(y_idx[row]))
+    return self
+
+
+def _predict_proba_per_row(self, X):
+    """Hoeffding-tree inference, one root-to-leaf walk per row."""
+    X, _ = self._validate_input(X)
+    if self.root is None or self.classes_ is None:
+        raise RuntimeError("predict_proba() called before partial_fit().")
+    n_classes = max(self.n_classes_, 2)
+    proba = np.zeros((len(X), self.n_classes_))
+    for row, x in enumerate(X):
+        node = self.root
+        while isinstance(node, SplitNode):
+            child = node.child_for(x)
+            if child is None:
+                break
+            node = child
+        if isinstance(node, SplitNode):
+            leaf_proba = self._split_node_proba(node, n_classes)
+        else:
+            leaf_proba = node.predict_proba(x, n_classes)
+        proba[row] = leaf_proba[: self.n_classes_]
+    row_sums = proba.sum(axis=1, keepdims=True)
+    row_sums[row_sums == 0.0] = 1.0
+    return proba / row_sums
+
+
+class ReferenceHoeffdingTree(HoeffdingTreeClassifier):
+    """VFDT trained and queried row by row, with per-threshold split scoring."""
+
+    partial_fit = _partial_fit_per_row
+    predict_proba = _predict_proba_per_row
+
+    def _new_leaf(self, depth, initial_dist=None):
+        return _with_reference_observers(super()._new_leaf(depth, initial_dist))
+
+    def _learn_one(self, x, y_idx):
+        leaf, parent, branch = self._sort_to_leaf(x)
+        leaf.learn_one(x, y_idx, n_classes=max(self.n_classes_, 2))
+        if self._can_split(leaf):
+            weight_seen = leaf.total_weight
+            if (
+                weight_seen - leaf.weight_at_last_split_attempt
+                >= self.grace_period
+            ):
+                leaf.weight_at_last_split_attempt = weight_seen
+                self._attempt_split(leaf, parent, branch)
+
+    def _sort_to_leaf(self, x):
+        """Walk the tree and return (leaf, parent split node, branch index)."""
+        return self._descend_from(self.root, x)
+
+    def _descend_from(self, node, x):
+        """Walk from ``node`` to the leaf for ``x``, creating missing children."""
+        parent = None
+        branch = 0
+        while isinstance(node, SplitNode):
+            parent = node
+            branch = node.branch_for(x)
+            child = node.children[branch]
+            if child is None:
+                child = self._new_leaf(depth=node.depth + 1)
+                node.children[branch] = child
+            node = child
+        return node, parent, branch
+
+
+class ReferenceHoeffdingAdaptiveTree(HoeffdingAdaptiveTreeClassifier):
+    """HT-Ada through its per-row recursion, with per-threshold split scoring."""
+
+    partial_fit = _partial_fit_per_row
+    predict_proba = _predict_proba_per_row
+
+    def _new_leaf(self, depth, initial_dist=None):
+        return _with_reference_observers(super()._new_leaf(depth, initial_dist))
+
+
+class ReferenceEFDT(ExtremelyFastDecisionTreeClassifier):
+    """EFDT queried row by row, with per-threshold split scoring."""
+
+    partial_fit = _partial_fit_per_row
+    predict_proba = _predict_proba_per_row
+
+    def _new_leaf(self, depth, initial_dist=None):
+        return _with_reference_observers(super()._new_leaf(depth, initial_dist))
+
+
+def fimtdd_predict_proba_per_row(model, X):
+    """FIMT-DD inference, one root-to-leaf walk and model call per row.
+
+    May differ from ``model.predict_proba`` in the last ulp: BLAS blocks
+    the batched matmul differently.
+    """
+    proba = np.zeros((len(X), model.n_classes_))
+    for row, x in enumerate(X):
+        node = model.root
+        while isinstance(node, FIMTSplitNode):
+            child = node.children[node.branch_for(x)]
+            if child is None:
+                child = model._new_leaf(depth=node.depth + 1)
+                node.children[node.branch_for(x)] = child
+            node = child
+        leaf_proba = node.model.predict_proba(x.reshape(1, -1))[0]
+        proba[row] = leaf_proba[: model.n_classes_]
+    row_sums = proba.sum(axis=1, keepdims=True)
+    row_sums[row_sums == 0.0] = 1.0
+    return proba / row_sums
+
+
+class ReferenceFIMTDD(FIMTDDClassifier):
+    """FIMT-DD with per-threshold SDR scoring and per-row inference."""
+
+    def predict_proba(self, X):
+        X, _ = self._validate_input(X)
+        if self.root is None or self.classes_ is None:
+            raise RuntimeError("predict_proba() called before partial_fit().")
+        return fimtdd_predict_proba_per_row(self, X)
+
+    def _new_leaf(self, depth, model=None):
+        return _with_reference_observers(super()._new_leaf(depth, model))
+
+
+class TwoPassFIMTDD(FIMTDDClassifier):
+    """FIMT-DD trained per row by ``predict`` then ``update`` on the leaf.
+
+    The loop the single forward pass of ``IncrementalGLM.sgd_step``
+    replaced: one leaf-model prediction for the Page-Hinkley error, then one
+    mini-batch SGD step on a one-row batch.
+    """
+
+    def partial_fit(self, X, y, classes=None):
+        X, y = self._validate_input(X, y)
+        previously_known = self.n_classes_
+        self._update_classes(y, classes)
+        if self.root is not None and self.n_classes_ > max(previously_known, 2):
+            raise ValueError("New class labels appeared after initialisation.")
+        if self.root is None:
+            self.root = self._new_leaf(depth=0)
+        y_idx = self.class_index(y)
+        for row in range(len(X)):
+            self._learn_one_two_pass(X[row], int(y_idx[row]))
+        return self
+
+    def _learn_one_two_pass(self, x, y_idx):
+        path = []
+        node = self.root
+        parent = None
+        branch = 0
+        while isinstance(node, FIMTSplitNode):
+            path.append((node, branch))
+            parent = node
+            branch = node.branch_for(x)
+            child = node.children[branch]
+            if child is None:
+                child = self._new_leaf(depth=node.depth + 1)
+                node.children[branch] = child
+            node = child
+        leaf = node
+        prediction = int(leaf.model.predict(x.reshape(1, -1))[0])
+        error = float(prediction != y_idx)
+        leaf.total_weight += 1.0
+        leaf.observers.update_row(x.tolist(), y_idx)
+        leaf.model.update(x.reshape(1, -1), np.array([y_idx]))
+        for ancestor, ancestor_branch in path:
+            if ancestor.page_hinkley.update(error):
+                self._prune_branch(ancestor, ancestor_branch)
+                return
+        if self.max_depth is not None and leaf.depth >= self.max_depth:
+            return
+        if leaf.total_weight - leaf.weight_at_last_split_attempt >= self.grace_period:
+            leaf.weight_at_last_split_attempt = leaf.total_weight
+            self._attempt_split(leaf, parent, branch)
+
+
+# ---------------------------------------------------------------- ensembles
+def accumulate_member_votes_per_column(
+    votes, proba, member_classes, ensemble_classes
+):
+    """Add one member's class-aligned votes in place, one column at a time."""
+    n_classes = len(ensemble_classes)
+    for column, label in enumerate(member_classes):
+        target = np.searchsorted(ensemble_classes, label)
+        if target < n_classes and ensemble_classes[target] == label:
+            votes[:, target] += proba[:, column]
+
+
+def _make_reference_member(self):
+    """A member built by the factory; the stock VFDT becomes its oracle."""
+    if self.base_estimator_factory is HoeffdingTreeClassifier:
+        return ReferenceHoeffdingTree()
+    return self.base_estimator_factory()
+
+
+def _batch_weights_per_member(self, n):
+    """Poisson weights of the batch, drawn one member at a time."""
+    return np.stack(
+        [
+            self._rng.poisson(self.poisson_lambda, size=n)
+            for _ in range(self.n_estimators)
+        ]
+    )
+
+
+def _bagging_predict_proba(self, X):
+    """Online-bagging votes, aligned one member column at a time."""
+    X, _ = self._validate_input(X)
+    if self.classes_ is None:
+        raise RuntimeError("predict_proba() called before partial_fit().")
+    votes = np.zeros((len(X), self.n_classes_))
+    for estimator in self.estimators_:
+        if estimator.classes_ is None:
+            continue
+        proba = estimator.predict_proba(X)
+        accumulate_member_votes_per_column(
+            votes, proba, estimator.classes_, self.classes_
+        )
+    row_sums = votes.sum(axis=1, keepdims=True)
+    row_sums[row_sums == 0.0] = 1.0
+    return votes / row_sums
+
+
+class ReferenceOzaBagging(OzaBaggingClassifier):
+    """Online bagging with per-member draws and per-column vote alignment."""
+
+    _make_estimator = _make_reference_member
+    _batch_weights = _batch_weights_per_member
+    predict_proba = _bagging_predict_proba
+
+
+class ReferenceLeveragingBagging(LeveragingBaggingClassifier):
+    """Leveraging Bagging feeding each member's ADWIN one error at a time."""
+
+    _make_estimator = _make_reference_member
+    _batch_weights = _batch_weights_per_member
+    predict_proba = _bagging_predict_proba
+
+    def partial_fit(self, X, y, classes=None):
+        X, y = self._validate_input(X, y)
+        self._update_classes(y, classes)
+
+        change_detected = False
+        for estimator_idx, estimator in enumerate(self.estimators_):
+            if estimator.classes_ is None:
+                continue
+            predictions = estimator.predict(X)
+            errors = (predictions != y).astype(float)
+            detector = self._detectors[estimator_idx]
+            for error in errors:
+                before = detector.mean
+                if detector.update(error) and detector.mean > before:
+                    change_detected = True
+
+        if change_detected:
+            error_estimates = [detector.mean for detector in self._detectors]
+            worst = int(np.argmax(error_estimates))
+            self.estimators_[worst] = self._make_estimator()
+            self._detectors[worst] = ADWIN(delta=self.adwin_delta)
+            self.n_member_resets += 1
+            if TELEMETRY.enabled:
+                TELEMETRY.emit(
+                    ENSEMBLE_MEMBER_DRIFT,
+                    model=type(self).__name__,
+                    member=worst,
+                    detector="ADWIN",
+                )
+                TELEMETRY.counter(
+                    ENSEMBLE_MEMBER_DRIFTS_TOTAL,
+                    model=type(self).__name__,
+                ).inc()
+
+        return OzaBaggingClassifier.partial_fit(self, X, y, classes=classes)
+
+
+class ReferenceARF(AdaptiveRandomForestClassifier):
+    """ARF with per-member draws, scalar detector feeds and per-column votes."""
+
+    _make_estimator = _make_reference_member
+
+    def partial_fit(self, X, y, classes=None):
+        X, y = self._validate_input(X, y)
+        self._update_classes(y, classes)
+        if not self.members_:
+            self._init_members()
+
+        for member_idx, member in enumerate(self.members_):
+            X_sub = X[:, member.feature_indices]
+
+            if member.tree.classes_ is not None:
+                predictions = member.tree.predict(X_sub)
+                errors = (predictions != y).astype(float)
+                warning = False
+                drift = False
+                for error in errors:
+                    before = member.warning_detector.mean
+                    if member.warning_detector.update(error):
+                        warning = warning or member.warning_detector.mean > before
+                    before = member.drift_detector.mean
+                    if member.drift_detector.update(error):
+                        drift = drift or member.drift_detector.mean > before
+                if warning and member.background_tree is None:
+                    member.background_tree = self._make_estimator()
+                    self.n_warnings += 1
+                if drift:
+                    if member.background_tree is not None:
+                        member.tree = member.background_tree
+                        member.background_tree = None
+                    else:
+                        member.tree = self._make_estimator()
+                    member.warning_detector = ADWIN(delta=self.warning_delta)
+                    member.drift_detector = ADWIN(delta=self.drift_delta)
+                    self.n_drifts += 1
+                    if TELEMETRY.enabled:
+                        TELEMETRY.emit(
+                            ENSEMBLE_MEMBER_DRIFT,
+                            model=type(self).__name__,
+                            member=int(member_idx),
+                            detector="ADWIN",
+                        )
+                        TELEMETRY.counter(
+                            ENSEMBLE_MEMBER_DRIFTS_TOTAL,
+                            model=type(self).__name__,
+                        ).inc()
+
+            weights = self._rng.poisson(self.poisson_lambda, size=len(X))
+            mask = weights > 0
+            if not np.any(mask):
+                continue
+            X_rep = np.repeat(X_sub[mask], weights[mask], axis=0)
+            y_rep = np.repeat(y[mask], weights[mask], axis=0)
+            member.tree.partial_fit(X_rep, y_rep, classes=self.classes_)
+            if member.background_tree is not None:
+                member.background_tree.partial_fit(X_rep, y_rep, classes=self.classes_)
+        return self
+
+    def predict_proba(self, X):
+        X, _ = self._validate_input(X)
+        if self.classes_ is None:
+            raise RuntimeError("predict_proba() called before partial_fit().")
+        votes = np.zeros((len(X), self.n_classes_))
+        for member in self.members_:
+            if member.tree.classes_ is None:
+                continue
+            proba = member.tree.predict_proba(X[:, member.feature_indices])
+            accumulate_member_votes_per_column(
+                votes, proba, member.tree.classes_, self.classes_
+            )
+        row_sums = votes.sum(axis=1, keepdims=True)
+        row_sums[row_sums == 0.0] = 1.0
+        return votes / row_sums
+
+
+#: Model class -> its oracle, for tests that build both from one config.
+ORACLES = {
+    DynamicModelTree: ReferenceDynamicModelTree,
+    HoeffdingTreeClassifier: ReferenceHoeffdingTree,
+    HoeffdingAdaptiveTreeClassifier: ReferenceHoeffdingAdaptiveTree,
+    ExtremelyFastDecisionTreeClassifier: ReferenceEFDT,
+    FIMTDDClassifier: ReferenceFIMTDD,
+    OzaBaggingClassifier: ReferenceOzaBagging,
+    LeveragingBaggingClassifier: ReferenceLeveragingBagging,
+    AdaptiveRandomForestClassifier: ReferenceARF,
+}
+
+#: Oracle class -> the product methods it overrides with its scalar loops.
+ORACLE_KERNELS = {
+    ReferenceGLM: ("fit_incremental",),
+    ReferenceGaussianNaiveBayes: ("predict_proba",),
+    ReferenceCandidateManager: (
+        "propose_thresholds",
+        "update_stored",
+        "consider_new",
+        "_propose_fresh",
+        "_stored_gains",
+    ),
+    ReferenceDMTNode: ("__init__",),
+    ReferenceDynamicModelTree: ("_make_node",),
+    ReferenceLeafObservers: ("best_split_suggestions", "best_sdr_suggestions"),
+    ReferenceHoeffdingTree: ("partial_fit", "predict_proba", "_new_leaf"),
+    ReferenceHoeffdingAdaptiveTree: ("partial_fit", "predict_proba", "_new_leaf"),
+    ReferenceEFDT: ("partial_fit", "predict_proba", "_new_leaf"),
+    ReferenceFIMTDD: ("predict_proba", "_new_leaf"),
+    TwoPassFIMTDD: ("partial_fit",),
+    ReferenceOzaBagging: ("_make_estimator", "_batch_weights", "predict_proba"),
+    ReferenceLeveragingBagging: (
+        "_make_estimator",
+        "_batch_weights",
+        "predict_proba",
+        "partial_fit",
+    ),
+    ReferenceARF: ("_make_estimator", "partial_fit", "predict_proba"),
+}

@@ -427,57 +427,6 @@ class TestLockDiscipline:
         assert findings == []
 
 
-# ---------------------------------------------------------------- vectorized
-
-
-class TestVectorizedParity:
-    def test_flag_set_but_never_read_flagged(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/trees/bad.py": (
-                    "class Model:\n"
-                    "    def __init__(self, vectorized=True):\n"
-                    "        self.vectorized = vectorized\n"
-                    "    def fit(self, X):\n"
-                    "        return self._fit_batch(X)\n"
-                ),
-            },
-        )
-        assert rules_of(findings) == {"VEC001"}
-
-    def test_branching_on_flag_ok(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/trees/good.py": (
-                    "class Model:\n"
-                    "    def __init__(self, vectorized=True):\n"
-                    "        self.vectorized = vectorized\n"
-                    "    def fit(self, X):\n"
-                    "        if self.vectorized:\n"
-                    "            return self._fit_batch(X)\n"
-                    "        return self._fit_rows(X)\n"
-                ),
-            },
-        )
-        assert findings == []
-
-    def test_forwarding_flag_ok(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/trees/good.py": (
-                    "class Model:\n"
-                    "    def __init__(self, node_cls, vectorized=True):\n"
-                    "        self.vectorized = vectorized\n"
-                    "        self.root = node_cls(vectorized=self.vectorized)\n"
-                ),
-            },
-        )
-        assert findings == []
-
-
 # -------------------------------------------------------------- suppressions
 
 

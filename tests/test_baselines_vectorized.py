@@ -1,6 +1,6 @@
 """Bit-equivalence of the vectorized baseline kernels vs. the reference loops.
 
-Every baseline keeps a ``vectorized=False`` path that retains the original
+Every baseline has an oracle in ``tests/oracles.py`` that runs the original
 per-row / per-threshold / per-value implementations.  These property tests
 pin the vectorized kernels to that reference *bitwise*: observer statistics,
 split suggestions, drift-detector firing indices, predictions and full
@@ -39,6 +39,7 @@ from repro.trees.fimtdd import FIMTDDClassifier
 from repro.trees.hat import HoeffdingAdaptiveTreeClassifier
 from repro.trees.observers import LeafObservers
 from repro.trees.vfdt import HoeffdingTreeClassifier
+from tests.oracles import ORACLES, ReferenceLeafObservers, fimtdd_predict_proba_per_row
 
 LEGACY_DIR = os.path.join(os.path.dirname(__file__), "golden", "legacy_baselines")
 
@@ -71,8 +72,14 @@ def stream_rows(multiclass: bool, n: int, seed: int, constant_feature: bool):
     return X, y, classes
 
 
-def train_pair(make_model, X, y, classes, sizes):
-    fast, reference = make_model(vectorized=True), make_model(vectorized=False)
+def make_pair(model):
+    """The product model and its oracle, configured alike."""
+    product, params = model
+    return product(**params), ORACLES[product](**params)
+
+
+def train_pair(model, X, y, classes, sizes):
+    fast, reference = make_pair(model)
     position = 0
     for size in sizes:
         batch_X, batch_y = X[position : position + size], y[position : position + size]
@@ -80,6 +87,19 @@ def train_pair(make_model, X, y, classes, sizes):
         reference.partial_fit(batch_X, batch_y, classes=classes)
         position += size
     return fast, reference
+
+
+def count_reference_leaves(tree) -> int:
+    """Number of leaves of an oracle tree; each must score with the oracle store."""
+    stack = [tree.root]
+    leaves = 0
+    while stack:
+        node = stack.pop()
+        stack.extend(child for child in getattr(node, "children", ()) if child)
+        if hasattr(node, "observers"):
+            assert type(node.observers) is ReferenceLeafObservers
+            leaves += 1
+    return leaves
 
 
 # --------------------------------------------------------------- observers
@@ -120,20 +140,22 @@ class TestObserverStoreEquivalence:
         self, seed, n_classes, criterion_name
     ):
         rng = np.random.default_rng(seed)
-        store = LeafObservers(n_features=5, n_split_points=10, nominal_features={2})
+        store, reference_store = (
+            store_class(n_features=5, n_split_points=10, nominal_features={2})
+            for store_class in (LeafObservers, ReferenceLeafObservers)
+        )
         size = int(rng.integers(5, 200))
         X = rng.normal(0.0, 2.0, size=(size, 5))
         X[:, 2] = rng.integers(0, 4, size=size)  # nominal values
         y = rng.integers(0, n_classes, size=size)
         store.update_batch(X, y)
+        reference_store.update_batch(X, y)
         pre_split = np.bincount(y, minlength=n_classes).astype(float)
         criterion = (
             InfoGainCriterion() if criterion_name == "info_gain" else GiniCriterion()
         )
-        fast = store.best_split_suggestions(criterion, pre_split, vectorized=True)
-        reference = store.best_split_suggestions(
-            criterion, pre_split, vectorized=False
-        )
+        fast = store.best_split_suggestions(criterion, pre_split)
+        reference = reference_store.best_split_suggestions(criterion, pre_split)
         assert len(fast) == len(reference)
         for a, b in zip(fast, reference):
             assert (a.feature, a.is_nominal) == (b.feature, b.is_nominal)
@@ -147,14 +169,18 @@ class TestObserverStoreEquivalence:
     @given(seed=st.integers(0, 10_000), n_classes=st.sampled_from([2, 4]))
     def test_sdr_suggestion_sweep_matches_reference(self, seed, n_classes):
         rng = np.random.default_rng(seed)
-        store = LeafObservers(n_features=4, n_split_points=10)
+        store, reference_store = (
+            store_class(n_features=4, n_split_points=10)
+            for store_class in (LeafObservers, ReferenceLeafObservers)
+        )
         size = int(rng.integers(5, 150))
         X = rng.normal(0.0, 1.5, size=(size, 4))
         y = rng.integers(0, n_classes, size=size)
         store.update_batch(X, y)
+        reference_store.update_batch(X, y)
         criterion = VarianceReductionCriterion()
-        fast = store.best_sdr_suggestions(criterion, vectorized=True)
-        reference = store.best_sdr_suggestions(criterion, vectorized=False)
+        fast = store.best_sdr_suggestions(criterion)
+        reference = reference_store.best_sdr_suggestions(criterion)
         assert len(fast) == len(reference)
         for a, b in zip(fast, reference):
             assert a.feature == b.feature
@@ -173,42 +199,37 @@ class TestObserverStoreEquivalence:
 
 
 # -------------------------------------------------------------------- trees
+#: Name -> (product class, constructor arguments); see :func:`make_pair`.
 TREE_FACTORIES = {
-    "vfdt_mc": lambda vectorized: HoeffdingTreeClassifier(
-        grace_period=60, split_confidence=0.05, vectorized=vectorized
+    "vfdt_mc": (
+        HoeffdingTreeClassifier, dict(grace_period=60, split_confidence=0.05)
     ),
-    "vfdt_nba": lambda vectorized: HoeffdingTreeClassifier(
-        grace_period=60,
-        split_confidence=0.05,
-        leaf_prediction="nba",
-        vectorized=vectorized,
+    "vfdt_nba": (
+        HoeffdingTreeClassifier,
+        dict(grace_period=60, split_confidence=0.05, leaf_prediction="nba"),
     ),
-    "ht_ada": lambda vectorized: HoeffdingAdaptiveTreeClassifier(
-        grace_period=60,
-        split_confidence=0.05,
-        adwin_delta=0.05,
-        alternate_min_weight=40,
-        vectorized=vectorized,
+    "ht_ada": (
+        HoeffdingAdaptiveTreeClassifier,
+        dict(
+            grace_period=60,
+            split_confidence=0.05,
+            adwin_delta=0.05,
+            alternate_min_weight=40,
+        ),
     ),
-    "efdt": lambda vectorized: ExtremelyFastDecisionTreeClassifier(
-        grace_period=60,
-        split_confidence=0.05,
-        reevaluation_period=150,
-        vectorized=vectorized,
+    "efdt": (
+        ExtremelyFastDecisionTreeClassifier,
+        dict(grace_period=60, split_confidence=0.05, reevaluation_period=150),
     ),
     # Fractional post-split distributions + Naive Bayes leaves and the
     # max_depth bulk path exercise the sequential class-count accumulation.
-    "vfdt_nb": lambda vectorized: HoeffdingTreeClassifier(
-        grace_period=60,
-        split_confidence=0.05,
-        leaf_prediction="nb",
-        vectorized=vectorized,
+    "vfdt_nb": (
+        HoeffdingTreeClassifier,
+        dict(grace_period=60, split_confidence=0.05, leaf_prediction="nb"),
     ),
-    "vfdt_capped": lambda vectorized: HoeffdingTreeClassifier(
-        grace_period=60,
-        split_confidence=0.05,
-        max_depth=2,
-        vectorized=vectorized,
+    "vfdt_capped": (
+        HoeffdingTreeClassifier,
+        dict(grace_period=60, split_confidence=0.05, max_depth=2),
     ),
 }
 
@@ -241,6 +262,31 @@ class TestTreeEquivalence:
         proba_reference = reference.predict_proba(X[:256])
         assert np.array_equal(proba_fast, proba_reference)
 
+    @pytest.mark.parametrize("model", ["vfdt_mc", "vfdt_nba", "ht_ada", "efdt"])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 10_000), single_rows=st.booleans())
+    def test_multiclass_trees_that_split_bit_identical(
+        self, model, seed, single_rows
+    ):
+        """The multiclass examples above rarely split at the default tie
+        threshold; at 0.5 every tree splits on the same LED rows."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(300, 1800))
+        X, y, classes = stream_rows(True, n, seed % 97, False)
+        product, params = TREE_FACTORIES[model]
+        sizes = random_schedule(rng, n, single_rows)
+        fast, reference = train_pair(
+            (product, {**params, "tie_threshold": 0.5}), X, y, classes, sizes
+        )
+        assert fast.n_split_events >= 1
+        assert fast.n_split_events == reference.n_split_events
+        assert fast.n_nodes == reference.n_nodes
+        assert fast.depth == reference.depth
+        assert count_reference_leaves(reference) >= 2
+        assert np.array_equal(
+            fast.predict_proba(X[:256]), reference.predict_proba(X[:256])
+        )
+
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 10_000), single_rows=st.booleans())
     def test_fimtdd_training_bit_identical(self, seed, single_rows):
@@ -249,24 +295,23 @@ class TestTreeEquivalence:
         X, y, classes = stream_rows(False, n, seed % 89, False)
         sizes = random_schedule(rng, n, single_rows)
         fast, reference = train_pair(
-            lambda vectorized: FIMTDDClassifier(
-                grace_period=60, random_state=3, vectorized=vectorized
-            ),
+            (FIMTDDClassifier, dict(grace_period=60, random_state=3)),
             X, y, classes, sizes,
         )
         assert fast.n_split_events == reference.n_split_events
         assert fast.n_nodes == reference.n_nodes
         assert fast.n_pruned_branches == reference.n_pruned_branches
+        assert count_reference_leaves(reference) >= 2
         # Training statistics are identical; the per-row inference path must
         # agree bitwise (the batched path may differ in the last ulp because
         # BLAS blocks the batched matmul differently -- see the class docs).
         assert np.array_equal(
-            fast._predict_proba_per_row(X[:200]),
-            reference._predict_proba_per_row(X[:200]),
+            fimtdd_predict_proba_per_row(fast, X[:200]),
+            reference.predict_proba(X[:200]),
         )
         np.testing.assert_allclose(
             fast.predict_proba(X[:200]),
-            fast._predict_proba_per_row(X[:200]),
+            fimtdd_predict_proba_per_row(fast, X[:200]),
             rtol=1e-12,
             atol=1e-15,
         )
@@ -276,9 +321,8 @@ class TestTreeEquivalence:
     )
     def test_prequential_deterministic_summary_identical(self, model):
         summaries = []
-        for vectorized in (True, False):
+        for classifier in make_pair(TREE_FACTORIES[model]):
             stream = SEAGenerator(n_samples=1500, noise=0.1, seed=11)
-            classifier = TREE_FACTORIES[model](vectorized)
             result = PrequentialEvaluator(batch_size=64).evaluate(
                 classifier, stream, model_name=model, dataset_name="sea"
             )
@@ -286,8 +330,8 @@ class TestTreeEquivalence:
         assert summaries[0] == summaries[1]
 
     def test_single_row_and_1d_partial_fit(self):
-        for factory in TREE_FACTORIES.values():
-            model = factory(True)
+        for product, params in TREE_FACTORIES.values():
+            model = product(**params)
             model.partial_fit(np.array([1.0, 2.0, 3.0]), np.array([0]), classes=[0, 1])
             model.partial_fit(np.array([[2.0, 1.0, 0.0]]), np.array([1]))
             proba = model.predict_proba(np.array([1.5, 1.5, 1.5]))
@@ -386,37 +430,32 @@ class TestDetectorUpdateMany:
 # ---------------------------------------------------------------- ensembles
 class TestEnsembleEquivalence:
     @settings(max_examples=4, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        name=st.sampled_from(["oza", "leveraging", "arf"]),
-    )
-    def test_vectorized_matches_reference(self, seed, name):
+    @given(seed=st.integers(0, 10_000))
+    def test_vectorized_matches_reference(self, seed):
         factories = {
-            "oza": lambda vectorized: OzaBaggingClassifier(
-                random_state=7, vectorized=vectorized
-            ),
-            "leveraging": lambda vectorized: LeveragingBaggingClassifier(
-                random_state=7, vectorized=vectorized
-            ),
-            "arf": lambda vectorized: AdaptiveRandomForestClassifier(
-                random_state=7, vectorized=vectorized
-            ),
+            "oza": (OzaBaggingClassifier, dict(random_state=7)),
+            "leveraging": (LeveragingBaggingClassifier, dict(random_state=7)),
+            "arf": (AdaptiveRandomForestClassifier, dict(random_state=7)),
         }
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(400, 1500))
-        X, y, classes = stream_rows(False, n, seed % 83, False)
-        y = y.copy()
-        y[n // 2 :] = 1 - y[n // 2 :]  # drift exercises detectors and resets
-        sizes = random_schedule(rng, n, False)
-        fast, reference = train_pair(factories[name], X, y, classes, sizes)
-        assert np.array_equal(
-            fast.predict_proba(X[:200]), reference.predict_proba(X[:200])
-        )
-        if name == "arf":
-            assert fast.n_drifts == reference.n_drifts
-            assert fast.n_warnings == reference.n_warnings
-        if name == "leveraging":
-            assert fast.n_member_resets == reference.n_member_resets
+        # Every example checks every ensemble: sampling one name per example
+        # left some ensembles out of a run, and a mutated ARF detector feed
+        # then went unnoticed.
+        for name, model in factories.items():
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(400, 1500))
+            X, y, classes = stream_rows(False, n, seed % 83, False)
+            y = y.copy()
+            y[n // 2 :] = 1 - y[n // 2 :]  # drift exercises detectors and resets
+            sizes = random_schedule(rng, n, False)
+            fast, reference = train_pair(model, X, y, classes, sizes)
+            assert np.array_equal(
+                fast.predict_proba(X[:200]), reference.predict_proba(X[:200])
+            )
+            if name == "arf":
+                assert fast.n_drifts == reference.n_drifts
+                assert fast.n_warnings == reference.n_warnings
+            if name == "leveraging":
+                assert fast.n_member_resets == reference.n_member_resets
 
 
 # -------------------------------------------------------------- persistence

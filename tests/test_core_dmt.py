@@ -7,6 +7,7 @@ from repro.base import ComplexityReport
 from repro.core.dmt import DynamicModelTree
 from repro.streams.synthetic import SEAGenerator, SineGenerator
 from tests.conftest import make_linear_binary, make_multiclass_blobs, make_xor
+from tests.oracles import dmt_predict_proba_per_row
 
 
 def _stream_fit(model, X, y, classes, batch=50):
@@ -103,7 +104,7 @@ class TestLearning:
         model.partial_fit(X, y)
         assert model.n_classes_ == 1
         assert model.root.model.n_classes == 2
-        per_row = model._predict_proba_per_row(X[:15])
+        per_row = dmt_predict_proba_per_row(model, X[:15])
         vectorized = model.predict_proba(X[:15])
         np.testing.assert_allclose(per_row, vectorized, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(per_row.sum(axis=1), 1.0)

@@ -3,10 +3,11 @@ two-pass row loop it replaced.
 
 ``FIMTDDClassifier`` trains every leaf through ``IncrementalGLM.sgd_step``,
 whose forward pass yields both the SGD step and the Page-Hinkley error.  The
-oracle below keeps the earlier loop: per row, ``predict`` on the leaf model,
-then ``update`` on a one-row batch.  Both run over binary and multiclass
-streams whose concept flips (binary) or rotates (multiclass) mid-stream,
-under random batch schedules that include single-row batches.  Every leaf's
+oracle ``TwoPassFIMTDD`` (``tests/oracles.py``) keeps the earlier loop: per
+row, ``predict`` on the leaf model, then ``update`` on a one-row batch.  Both
+run over binary and multiclass streams whose concept flips (binary) or
+rotates (multiclass) mid-stream, under random batch schedules that include
+single-row batches.  Every leaf's
 weight bytes, every Page-Hinkley state, the split and prune counts and
 ``predict_proba`` must match.
 """
@@ -16,55 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trees.fimtdd import FIMTDDClassifier, FIMTLeaf, FIMTSplitNode
+from repro.trees.fimtdd import FIMTDDClassifier, FIMTLeaf
 from tests.conftest import batch_schedule
-
-
-class TwoPassFIMTDD(FIMTDDClassifier):
-    """Oracle: the per-row ``predict`` + ``update`` training loop."""
-
-    def partial_fit(self, X, y, classes=None):
-        X, y = self._validate_input(X, y)
-        previously_known = self.n_classes_
-        self._update_classes(y, classes)
-        if self.root is not None and self.n_classes_ > max(previously_known, 2):
-            raise ValueError("New class labels appeared after initialisation.")
-        if self.root is None:
-            self.root = self._new_leaf(depth=0)
-        y_idx = self.class_index(y)
-        for row in range(len(X)):
-            self._learn_one_two_pass(X[row], int(y_idx[row]))
-        return self
-
-    def _learn_one_two_pass(self, x, y_idx):
-        path = []
-        node = self.root
-        parent = None
-        branch = 0
-        while isinstance(node, FIMTSplitNode):
-            path.append((node, branch))
-            parent = node
-            branch = node.branch_for(x)
-            child = node.children[branch]
-            if child is None:
-                child = self._new_leaf(depth=node.depth + 1)
-                node.children[branch] = child
-            node = child
-        leaf = node
-        prediction = int(leaf.model.predict(x.reshape(1, -1))[0])
-        error = float(prediction != y_idx)
-        leaf.total_weight += 1.0
-        leaf.observers.update_row(x.tolist(), y_idx)
-        leaf.model.update(x.reshape(1, -1), np.array([y_idx]))
-        for ancestor, ancestor_branch in path:
-            if ancestor.page_hinkley.update(error):
-                self._prune_branch(ancestor, ancestor_branch)
-                return
-        if self.max_depth is not None and leaf.depth >= self.max_depth:
-            return
-        if leaf.total_weight - leaf.weight_at_last_split_attempt >= self.grace_period:
-            leaf.weight_at_last_split_attempt = leaf.total_weight
-            self._attempt_split(leaf, parent, branch)
+from tests.oracles import TwoPassFIMTDD
 
 
 def _hex(*values):

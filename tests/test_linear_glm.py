@@ -73,10 +73,6 @@ class TestConstruction:
         second = model.clone(warm_start=False, rng=np.random.default_rng(3))
         np.testing.assert_array_equal(first.weights, second.weights)
 
-    def test_clone_preserves_vectorized_flag(self):
-        model = IncrementalGLM(n_features=2, n_classes=2, rng=0, vectorized=False)
-        assert model.clone(warm_start=True).vectorized is False
-
 
 class TestInference:
     @pytest.mark.parametrize("n_classes", [2, 3, 5])

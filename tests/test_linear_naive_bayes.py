@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.linear.naive_bayes import GaussianNaiveBayes
 from tests.conftest import make_multiclass_blobs
+from tests.oracles import ReferenceGaussianNaiveBayes
 
 
 class TestConstruction:
@@ -65,3 +68,30 @@ class TestBehaviour:
         proba = model.predict_proba(np.array([[1.0, 1.0]]))
         assert np.all(np.isfinite(proba))
         assert proba[0, 0] > proba[0, 1]
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_features=st.integers(1, 60),
+        n_classes=st.integers(2, 12),
+        scale=st.floats(0.01, 100.0),
+    )
+    def test_broadcast_matches_per_class_loop(
+        self, seed, n_features, n_classes, scale
+    ):
+        """The broadcast log-likelihood equals the per-class loop bit for bit."""
+        rng = np.random.default_rng(seed)
+        product = GaussianNaiveBayes(n_features, n_classes)
+        oracle = ReferenceGaussianNaiveBayes(n_features, n_classes)
+        n_rows = int(rng.integers(1, 80))
+        X = rng.normal(size=(n_rows, n_features)) * scale
+        y = rng.integers(0, n_classes, size=n_rows)
+        product.update(X, y)
+        oracle.update(X, y)
+        queries = rng.normal(size=(16, n_features)) * scale
+        assert (
+            product.predict_proba(queries).tobytes()
+            == oracle.predict_proba(queries).tobytes()
+        )

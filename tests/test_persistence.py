@@ -118,6 +118,62 @@ class TestModelRoundTrips:
             DynamicModelTree.from_state(model.to_state())
 
 
+#: Classes whose instances stored a ``vectorized`` attribute in the model
+#: files written while the models had that option.
+_FLAGGED_CLASSES = {
+    "AdaptiveRandomForestClassifier",
+    "CandidateManager",
+    "DynamicModelTree",
+    "ExtremelyFastDecisionTreeClassifier",
+    "FIMTDDClassifier",
+    "HoeffdingAdaptiveTreeClassifier",
+    "HoeffdingTreeClassifier",
+    "IncrementalGLM",
+    "LeveragingBaggingClassifier",
+    "OzaBaggingClassifier",
+}
+
+
+def _inject_vectorized_flag(node) -> int:
+    """Store ``"vectorized": false`` in every flagged object of a state tree."""
+    injected = 0
+    if isinstance(node, dict):
+        if node.get("__repro__") == "object" and node["class"] in _FLAGGED_CLASSES:
+            node["state"]["vectorized"] = False
+            injected += 1
+        for value in node.values():
+            injected += _inject_vectorized_flag(value)
+    elif isinstance(node, list):
+        for value in node:
+            injected += _inject_vectorized_flag(value)
+    return injected
+
+
+class TestLegacyVectorizedFlag:
+    """Files that stored the retired ``vectorized`` option keep loading."""
+
+    @pytest.mark.parametrize("name", ["dmt", "vfdt_mc", "hat", "fimtdd", "arf"])
+    def test_stored_flag_loads_predicts_and_trains_identically(self, name):
+        X, y = make_xor(4000, seed=1)
+        model = _train(MODEL_FACTORIES[name](), X * 3.0, y, classes=[0, 1])
+        state = model.to_state()
+        assert _inject_vectorized_flag(state) >= 1
+        legacy = from_state(json.loads(json.dumps(state)))
+
+        X_more, y_more = make_xor(600, seed=8)
+        X_more = X_more * 3.0
+        assert (
+            legacy.predict_proba(X_more).tobytes()
+            == model.predict_proba(X_more).tobytes()
+        )
+        _train(model, X_more, y_more, classes=[0, 1])
+        _train(legacy, X_more, y_more, classes=[0, 1])
+        assert (
+            legacy.predict_proba(X * 3.0).tobytes()
+            == model.predict_proba(X * 3.0).tobytes()
+        )
+
+
 class TestLinearModelRoundTrips:
     def test_incremental_glm_round_trip(self, tmp_path):
         from repro.linear.glm import IncrementalGLM

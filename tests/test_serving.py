@@ -18,6 +18,7 @@ from repro import (
 from repro.drift import DDM
 from repro.drift.base import BaseDriftDetector
 from tests.conftest import make_linear_binary, make_multiclass_blobs, make_xor
+from tests.oracles import dmt_predict_proba_per_row
 
 
 def _train(model, X, y, classes, batch: int = 100):
@@ -59,7 +60,7 @@ class TestVectorizedDMTInference:
         rng = np.random.default_rng(42)
         batch = rng.uniform(0.0, 3.0, size=(2000, 2))
         vectorized = model.predict_proba(batch)
-        per_row = model._predict_proba_per_row(batch)
+        per_row = dmt_predict_proba_per_row(model, batch)
         np.testing.assert_allclose(vectorized, per_row, rtol=0.0, atol=1e-12)
         assert np.array_equal(
             np.argmax(vectorized, axis=1), np.argmax(per_row, axis=1)
@@ -72,7 +73,7 @@ class TestVectorizedDMTInference:
         batch = rng.uniform(0.0, 1.0, size=(500, 4))
         np.testing.assert_allclose(
             model.predict_proba(batch),
-            model._predict_proba_per_row(batch),
+            dmt_predict_proba_per_row(model, batch),
             rtol=0.0,
             atol=1e-12,
         )

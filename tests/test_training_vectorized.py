@@ -1,18 +1,20 @@
 """Property tests: the vectorized DMT training hot path is bit-identical to
-the retained per-row / per-candidate reference implementations.
+the per-row / per-candidate reference implementations in ``tests/oracles.py``.
 
 Three layers are compared across random batch schedules (including
 single-row and constant-feature batches), binary and multiclass:
 
-* ``CandidateManager`` batch accumulation + admission (``vectorized=True``
-  vs the per-candidate reference loops),
+* ``CandidateManager`` batch accumulation + admission (vs the per-candidate
+  loops of ``ReferenceCandidateManager``),
 * the ``candidate_gain_sweep`` against ``CandidateStatistics.gain``,
-* ``IncrementalGLM.fit_incremental`` (fast path vs per-row reference),
+* ``IncrementalGLM.fit_incremental`` (vs one ``update`` per row),
 * the full ``DynamicModelTree`` training loop, including the prequential
-  ``deterministic_summary()``.
+  ``deterministic_summary()``, on trees that stay a leaf and on trees that
+  grow inner nodes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,11 +33,23 @@ from tests.conftest import (
     make_multiclass_blobs,
     make_xor,
 )
+from tests.oracles import (
+    ReferenceCandidateManager,
+    ReferenceDMTNode,
+    ReferenceDynamicModelTree,
+    ReferenceGLM,
+)
 
 
-def _random_batches(seed, total=300, n_features=3, n_params=5, constant_feature=False):
+def _random_batches(
+    seed, total=300, n_features=3, n_params=5, constant_feature=False,
+    discrete=False,
+):
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(total, n_features))
+    if discrete:
+        # Repeated values: later batches hit stored thresholds exactly.
+        X = np.round(X * 8.0) / 8.0
     if constant_feature:
         X[:, 0] = 0.5
     loss = rng.uniform(0.05, 2.0, size=total)
@@ -67,9 +81,9 @@ def _assert_managers_identical(fast, slow):
 
 
 class TestCandidateManagerEquivalence:
-    """Vectorized store vs the ``vectorized=False`` oracle, batch by batch.
+    """Vectorized store vs the per-candidate oracle, batch by batch.
 
-    Only the vectorized path prunes fresh candidates with the admission
+    Only the vectorized store prunes fresh candidates with the admission
     bound, so these cases fail if pruning ever changes an admission, an
     eviction or ``best_candidate``.
     """
@@ -103,17 +117,24 @@ class TestCandidateManagerEquivalence:
                 assert best_fast[1] == best_slow[1]
 
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), constant=st.booleans())
-    def test_accumulation_and_admission_bit_identical(self, seed, constant):
-        fast = CandidateManager(n_features=3, max_candidates=7, vectorized=True)
-        slow = CandidateManager(n_features=3, max_candidates=7, vectorized=False)
+    @given(
+        seed=st.integers(0, 10_000),
+        constant=st.booleans(),
+        discrete=st.booleans(),
+    )
+    def test_accumulation_and_admission_bit_identical(
+        self, seed, constant, discrete
+    ):
+        fast = CandidateManager(n_features=3, max_candidates=7)
+        slow = ReferenceCandidateManager(n_features=3, max_candidates=7)
         self._assert_paths_agree(
-            fast, slow, _random_batches(seed, constant_feature=constant)
+            fast, slow,
+            _random_batches(seed, constant_feature=constant, discrete=discrete),
         )
 
     def test_single_row_batches_bit_identical(self):
-        fast = CandidateManager(n_features=2, max_candidates=4, vectorized=True)
-        slow = CandidateManager(n_features=2, max_candidates=4, vectorized=False)
+        fast = CandidateManager(n_features=2, max_candidates=4)
+        slow = ReferenceCandidateManager(n_features=2, max_candidates=4)
         rng = np.random.default_rng(11)
         batches = [
             (
@@ -152,11 +173,11 @@ class TestCandidateManagerEquivalence:
             for scale in scales
         ]
         managers = [
-            CandidateManager(
+            manager_class(
                 n_features=3, max_candidates=max_candidates,
-                replacement_rate=replacement_rate, vectorized=vectorized,
+                replacement_rate=replacement_rate,
             )
-            for vectorized in (True, False)
+            for manager_class in (CandidateManager, ReferenceCandidateManager)
         ]
         self._assert_paths_agree(*managers, batches, learning_rate)
 
@@ -183,11 +204,8 @@ class TestCandidateManagerEquivalence:
             ),
         ]
         fast, slow = (
-            CandidateManager(
-                n_features=2, max_candidates=2, replacement_rate=1.0,
-                vectorized=vectorized,
-            )
-            for vectorized in (True, False)
+            manager_class(n_features=2, max_candidates=2, replacement_rate=1.0)
+            for manager_class in (CandidateManager, ReferenceCandidateManager)
         )
         self._assert_paths_agree(fast, slow, batches)
         assert list(fast._key_index) == [(0, 0.2), (0, 0.3)]
@@ -226,8 +244,7 @@ class TestGLMEquivalence:
     def test_fit_incremental_fast_path_bit_identical(self, seed, n_classes):
         rng = np.random.default_rng(seed)
         fast = IncrementalGLM(n_features=3, n_classes=n_classes, rng=seed)
-        slow = fast.clone(warm_start=True)
-        slow.vectorized = False
+        slow = ReferenceGLM(n_features=3, n_classes=n_classes, rng=seed)
         total = 200
         X = rng.uniform(size=(total, 3))
         y = rng.integers(0, n_classes, size=total)
@@ -241,8 +258,7 @@ class TestGLMEquivalence:
 
     def test_constant_feature_batch_bit_identical(self):
         fast = IncrementalGLM(n_features=2, n_classes=2, rng=0)
-        slow = fast.clone(warm_start=True)
-        slow.vectorized = False
+        slow = ReferenceGLM(n_features=2, n_classes=2, rng=0)
         X = np.full((30, 2), 0.25)
         y = np.zeros(30, dtype=int)
         fast.fit_incremental(X, y)
@@ -267,7 +283,7 @@ class TestDMTEquivalence:
         X = X * 3.0
         rng = np.random.default_rng(seed)
         fast = DynamicModelTree(random_state=seed)
-        slow = DynamicModelTree(random_state=seed, vectorized=False)
+        slow = ReferenceDynamicModelTree(random_state=seed)
         start = 0
         for size in batch_schedule(rng, len(X), max_batch=120):
             xb, yb = X[start : start + size], y[start : start + size]
@@ -283,7 +299,7 @@ class TestDMTEquivalence:
     def test_multiclass_training_bit_identical(self):
         X, y = make_multiclass_blobs(3000, n_classes=3, n_features=4, seed=5)
         fast = DynamicModelTree(random_state=3)
-        slow = DynamicModelTree(random_state=3, vectorized=False)
+        slow = ReferenceDynamicModelTree(random_state=3)
         for begin in range(0, len(X), 64):
             xb, yb = X[begin : begin + 64], y[begin : begin + 64]
             fast.partial_fit(xb, yb, classes=[0, 1, 2])
@@ -291,12 +307,38 @@ class TestDMTEquivalence:
         np.testing.assert_array_equal(fast.predict_proba(X), slow.predict_proba(X))
         assert fast.n_nodes == slow.n_nodes
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_growing_tree_trajectory_bit_identical(self, seed):
+        """Inner-node paths: splits installed through ``make_child``, the
+        resplit and prune checks against ``subtree_leaf_loss`` and
+        ``best_candidate(exclude=...)``, on a band the root cannot fit."""
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-3.0, 3.0, size=(8000, 2))
+        y = (np.abs(X[:, 0]) > 1.5).astype(int)
+        fast = DynamicModelTree(random_state=seed)
+        slow = ReferenceDynamicModelTree(random_state=seed)
+        start = 0
+        for size in batch_schedule(rng, len(X)):
+            xb, yb = X[start : start + size], y[start : start + size]
+            start += size
+            fast.partial_fit(xb, yb, classes=[0, 1])
+            slow.partial_fit(xb, yb, classes=[0, 1])
+        assert fast.n_nodes >= 3
+        assert fast.n_nodes == slow.n_nodes
+        assert fast.depth == slow.depth
+        np.testing.assert_array_equal(fast.predict_proba(X), slow.predict_proba(X))
+        # The oracle parts reach every node the reference tree grew.
+        for node in slow.root.subtree_nodes():
+            assert type(node) is ReferenceDMTNode
+            assert type(node.candidates) is ReferenceCandidateManager
+            assert type(node.model) is ReferenceGLM
+
     def test_deterministic_summary_bit_identical(self):
         """The acceptance criterion: same seeds, both paths, same summary."""
         summaries = []
-        for vectorized in (True, False):
+        for model_class in (DynamicModelTree, ReferenceDynamicModelTree):
             stream = SEAGenerator(n_samples=2000, noise=0.1, seed=42)
-            model = DynamicModelTree(random_state=42, vectorized=vectorized)
+            model = model_class(random_state=42)
             evaluator = PrequentialEvaluator(batch_size=50)
             result = evaluator.evaluate(model, stream, model_name="dmt")
             summaries.append(result.deterministic_summary())
@@ -328,14 +370,12 @@ class TestLegacyPayloadMigration:
         }
         for field in (
             "_features", "_thresholds", "_losses", "_counts", "_gradients",
-            "vectorized",
         ):
             state["state"].pop(field, None)
         state["state"]["_candidates"] = codec.encode(legacy_candidates)
 
         loaded = codec.decode(state)
         assert isinstance(loaded, CandidateManager)
-        assert loaded.vectorized is True  # class-level fallback
         _assert_managers_identical(loaded, manager)
 
         # The migrated store keeps accumulating identically to the original.
