@@ -1,15 +1,24 @@
-"""Scenario-transform throughput benchmark.
+"""Scenario throughput benchmark: the catalogue and the sampled programs.
 
-Two measurements:
+Every scenario is a grammar program, so one interleaved timing loop measures
+three sets:
 
 1. **Transform microbench** (informational): rows/sec of every transform
    wrapped around the cheapest generator in the repo (SEA, tens of millions
    of rows/sec), which bounds each transform's own per-row cost from above.
-2. **Catalogue overhead gate**: for every catalogued scenario, rows/sec of
-   the full transform stack vs. the base stream it wraps.  This is the
-   acceptance gate of the scenario subsystem: ``overhead_vs_base < 2.0``
-   for every scenario (the stack must cost less than generating the data
-   itself again).
+2. **Catalogue gate**: for every catalogued scenario, each layer's rows/sec
+   against the stream it directly wraps (a ``DriftInjector`` against its
+   base concept).  Every layer must cost less than ``OVERHEAD_GATE`` times
+   its wrapped stream.  The stack total against the innermost base is
+   reported as well (informational; a deep stack compounds).
+3. **Sampled-program gate**: the pinned ``fuzz-42-<index>`` programs (the
+   family the fuzz-grid test harness pins), each against the raw source
+   generators it consumes.  A drifting program reads *two* concept streams
+   and an imbalanced one over-generates its base, so the fair baseline is
+   the summed time of all raw sources.  Every program must take less than
+   ``OVERHEAD_GATE`` times that.  Per-layer overhead is reported as well
+   (informational; a mixing layer over a near-free generator legitimately
+   exceeds its single wrapped stream).
 
 Results go to ``BENCH_scenarios.json`` next to the repository root.  Run
 with::
@@ -18,7 +27,11 @@ with::
 
 Environment knobs: ``REPRO_BENCH_ROWS`` (stream length, default 200_000),
 ``REPRO_BENCH_BATCH`` (consumption batch size, default 2_048),
-``REPRO_BENCH_REPEATS`` (timing repeats, best-of, default 3).
+``REPRO_BENCH_REPEATS`` (timing repeats, best-of, default 3; the gated sets
+use at least 5), ``REPRO_BENCH_PROGRAMS`` (number of sampled programs,
+default 12) and ``REPRO_BENCH_OVERHEAD_GATE`` (default 2.0, for idle
+machines; CI loosens it because wall-clock ratios on shared runners flake
+under load).
 """
 
 from __future__ import annotations
@@ -27,7 +40,12 @@ import json
 import os
 import time
 
-from repro.experiments.registry import build_scenario_pipeline, scenario_names
+from repro.experiments.registry import (
+    build_scenario_pipeline,
+    fuzz_scenario_names,
+    scenario_names,
+    scenario_program,
+)
 from repro.streams import (
     DriftInjector,
     FeatureCorruptor,
@@ -38,10 +56,7 @@ from repro.streams import (
 )
 
 OUTPUT_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_scenarios.json")
-#: Acceptance gate on per-layer overhead.  Default 2.0 (the subsystem's
-#: acceptance criterion, for idle machines); CI loosens it via
-#: ``REPRO_BENCH_OVERHEAD_GATE`` because wall-clock ratios on shared
-#: runners flake under load.
+GRAMMAR_SEED = 42
 OVERHEAD_GATE = float(os.environ.get("REPRO_BENCH_OVERHEAD_GATE", "2.0"))
 
 
@@ -61,29 +76,21 @@ def _consume(stream, batch_size: int) -> int:
     return rows
 
 
-def _rows_per_second(stream, batch_size: int, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        rows = _consume(stream, batch_size)
-        best = min(best, (time.perf_counter() - started) / rows)
-    return 1.0 / best
+def _best_times(streams, batch_size: int, repeats: int) -> list[tuple[float, int]]:
+    """Best-of (seconds, rows) per full consumption of every stream.
 
-
-def _stack_rates(stack, batch_size: int, repeats: int) -> list[float]:
-    """Best-of rows/sec for every stream of a stack, passes interleaved.
-
-    Interleaving (one timing pass per stream, repeated) instead of timing
-    each stream back-to-back keeps slow machine-load drift from biasing the
-    overhead ratios between the streams.
+    Passes are interleaved (one timing pass per stream, repeated) instead of
+    timing each stream back to back, so slow machine-load drift cannot bias
+    the ratios between the streams.
     """
-    best = [float("inf")] * len(stack)
+    best = [float("inf")] * len(streams)
+    rows = [0] * len(streams)
     for _ in range(repeats):
-        for index, stream in enumerate(stack):
+        for index, stream in enumerate(streams):
             started = time.perf_counter()
-            rows = _consume(stream, batch_size)
-            best[index] = min(best[index], (time.perf_counter() - started) / rows)
-    return [1.0 / seconds for seconds in best]
+            rows[index] = _consume(stream, batch_size)
+            best[index] = min(best[index], time.perf_counter() - started)
+    return list(zip(best, rows))
 
 
 def transform_microbench(n_rows: int, batch_size: int, repeats: int) -> dict:
@@ -113,41 +120,31 @@ def transform_microbench(n_rows: int, batch_size: int, repeats: int) -> dict:
             name="bench_pipeline",
         ),
     }
-    raw_rate = _rows_per_second(base, batch_size, repeats)
+    timings = _best_times([base, *transforms.values()], batch_size, repeats)
+    rates = [rows / seconds for seconds, rows in timings]
     records = {
-        "raw_sea_stream": {"rows_per_second": round(raw_rate), "overhead_vs_raw": 1.0}
+        "raw_sea_stream": {"rows_per_second": round(rates[0]), "overhead_vs_raw": 1.0}
     }
-    for name, stream in transforms.items():
-        rate = _rows_per_second(stream, batch_size, repeats)
+    for name, rate in zip(transforms, rates[1:]):
         records[name] = {
             "rows_per_second": round(rate),
-            "overhead_vs_raw": round(raw_rate / rate, 3),
+            "overhead_vs_raw": round(rates[0] / rate, 3),
         }
     return records
 
 
 def catalogue_overhead(n_rows: int, batch_size: int, repeats: int) -> dict:
-    """Per-layer overhead of every catalogued scenario (the gate).
-
-    For each transform layer the overhead is measured against the stream it
-    directly wraps (a ``DriftInjector`` against its base concept), which is
-    the subsystem's acceptance criterion: every transform < 2x over its
-    wrapped stream.  The stack total vs. the innermost base is reported as
-    well (informational; a deep stack compounds).
-    """
+    """Per-layer rows/sec overhead of every catalogued scenario (gated)."""
     records = {}
     for name in scenario_names():
-        pipeline = build_scenario_pipeline(name, n_rows, seed=42)
-        stack = pipeline.layer_stack()  # outermost ... base
-        rates = _stack_rates(stack, batch_size, max(repeats, 5))
+        stack = build_scenario_pipeline(name, n_rows, seed=42).layer_stack()
+        timings = _best_times(stack, batch_size, max(repeats, 5))
+        rates = [rows / seconds for seconds, rows in timings]  # outermost ... base
         layers = {}
-        for outer_index in range(len(stack) - 1):
-            layer_name = type(stack[outer_index]).__name__
-            layers[f"{outer_index}:{layer_name}"] = {
-                "rows_per_second": round(rates[outer_index]),
-                "overhead_vs_wrapped": round(
-                    rates[outer_index + 1] / rates[outer_index], 3
-                ),
+        for outer in range(len(stack) - 1):
+            layers[f"{outer}:{type(stack[outer]).__name__}"] = {
+                "rows_per_second": round(rates[outer]),
+                "overhead_vs_wrapped": round(rates[outer + 1] / rates[outer], 3),
             }
         records[name] = {
             "base_rows_per_second": round(rates[-1]),
@@ -158,27 +155,87 @@ def catalogue_overhead(n_rows: int, batch_size: int, repeats: int) -> dict:
     return records
 
 
+def _raw_sources(stack) -> list:
+    """Every raw generator the pipeline consumes.
+
+    The wrapped chain's innermost stream, plus the alternate concept of
+    every two-stream mixing layer (drift injectors, oscillation).
+    """
+    sources = [stack[-1]]
+    for stream in stack:
+        alternate = getattr(stream, "alternate", None)
+        if alternate is not None:
+            sources.append(alternate)
+    return sources
+
+
+def sampled_overhead(
+    n_programs: int, n_rows: int, batch_size: int, repeats: int
+) -> dict:
+    """Total-time overhead of every sampled program vs its raw sources (gated).
+
+    Total seconds -- not rows/sec -- is what the gate compares: an
+    oversampling layer's source stream is longer than the pipeline it
+    feeds, and that extra generation work is part of the raw cost.
+    """
+    records = {}
+    for name in fuzz_scenario_names(GRAMMAR_SEED, n_programs):
+        stack = build_scenario_pipeline(name, n_rows).layer_stack()
+        sources = _raw_sources(stack)
+        # The stack already times the innermost source.
+        timings = _best_times(stack + sources[1:], batch_size, max(repeats, 5))
+        raw_seconds = sum(seconds for seconds, _ in timings[len(stack) - 1 :])
+        program_seconds, program_rows = timings[0]
+        layers = {}
+        for outer in range(len(stack) - 1):
+            seconds, rows = timings[outer]
+            layers[f"{outer}:{type(stack[outer]).__name__}"] = {
+                "rows_per_second": round(rows / seconds),
+                "overhead_vs_wrapped": round(seconds / timings[outer + 1][0], 3),
+            }
+        records[name] = {
+            "axes": " -> ".join(scenario_program(name).axes()),
+            "n_raw_sources": len(sources),
+            "raw_sources_seconds": round(raw_seconds, 6),
+            "program_seconds": round(program_seconds, 6),
+            "program_rows_per_second": round(program_rows / program_seconds),
+            "overhead_vs_raw_sources": round(program_seconds / raw_seconds, 3),
+            "layers": layers,
+        }
+    return records
+
+
 def main() -> dict:
     n_rows = int(os.environ.get("REPRO_BENCH_ROWS", "200000"))
     batch_size = int(os.environ.get("REPRO_BENCH_BATCH", "2048"))
     repeats = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
+    n_programs = int(os.environ.get("REPRO_BENCH_PROGRAMS", "12"))
 
     transforms = transform_microbench(n_rows, batch_size, repeats)
     catalogue = catalogue_overhead(n_rows, batch_size, repeats)
+    sampled = sampled_overhead(n_programs, n_rows, batch_size, repeats)
     failures = {
         f"{name}/{layer_name}": layer["overhead_vs_wrapped"]
         for name, record in catalogue.items()
         for layer_name, layer in record["layers"].items()
         if layer["overhead_vs_wrapped"] >= OVERHEAD_GATE
     }
+    failures.update(
+        (name, record["overhead_vs_raw_sources"])
+        for name, record in sampled.items()
+        if record["overhead_vs_raw_sources"] >= OVERHEAD_GATE
+    )
     document = {
-        "benchmark": "scenario_transform_throughput",
+        "benchmark": "scenario_throughput",
         "n_rows": n_rows,
         "batch_size": batch_size,
         "repeats": repeats,
+        "grammar_seed": GRAMMAR_SEED,
+        "n_programs": n_programs,
         "overhead_gate": OVERHEAD_GATE,
         "transforms_over_sea": transforms,
         "catalogue": catalogue,
+        "sampled": sampled,
         "overhead_gate_failures": failures,
     }
     with open(OUTPUT_PATH, "w") as handle:
@@ -208,12 +265,29 @@ def main() -> dict:
             f"  {record['stack_total_vs_base']:>10.3f}x"
             f"  {worst:>10.3f}x"
         )
+    width = max(len(name) for name in sampled)
+    print(
+        f"\n{'sampled program':<{width}}  program r/s  program s  raw srcs s"
+        "  sources  vs raw sources"
+    )
+    for name, record in sampled.items():
+        print(
+            f"{name:<{width}}  {record['program_rows_per_second']:>11,}"
+            f"  {record['program_seconds']:>9.4f}"
+            f"  {record['raw_sources_seconds']:>10.4f}"
+            f"  {record['n_raw_sources']:>7}"
+            f"  {record['overhead_vs_raw_sources']:>13.3f}x"
+        )
     if failures:
         raise SystemExit(
-            f"Overhead gate (< {OVERHEAD_GATE}x vs wrapped stream) failed "
+            f"Overhead gate (< {OVERHEAD_GATE}x: catalogue layers vs their "
+            f"wrapped stream, sampled programs vs their raw sources) failed "
             f"for: {sorted(failures)}"
         )
-    print(f"\nAll scenarios under the {OVERHEAD_GATE}x overhead gate -> {OUTPUT_PATH}")
+    print(
+        f"\nEvery catalogue layer and sampled program under the "
+        f"{OVERHEAD_GATE}x overhead gate -> {OUTPUT_PATH}"
+    )
     return document
 
 

@@ -5,7 +5,8 @@ For every dataset in {SEA, Agrawal, Hyperplane} and batch size in {1, 32,
 ``DynamicModelTree`` (structure-of-arrays candidate store, fast
 per-observation SGD) and its oracle ``ReferenceDynamicModelTree`` from
 ``tests/oracles.py`` (the per-row / per-candidate reference loops) -- and
-times ``partial_fit``.
+times ``partial_fit``, each product repeat alternating with one reference
+repeat.
 
 Two gates:
 
@@ -81,22 +82,26 @@ def _train(model: DynamicModelTree, X, y, classes, batch_size: int) -> float:
     return time.perf_counter() - started
 
 
-def _train_best_of(make_model, X, y, classes, batch_size: int):
-    """Best-of-REPEATS training time; returns (model, seconds).
+def _train_interleaved(X, y, classes, batch_size: int):
+    """Best-of-REPEATS timings with product and reference runs interleaved.
 
-    Training mutates the model, so every repeat trains a fresh instance
-    (identical seeds -> identical work); the minimum wall-clock filters
-    scheduler noise out of the speedup ratio, as the other benchmarks do.
+    Returns ``[(seconds, model), (seconds, model)]`` for the product and
+    the reference.  Training mutates the model, so every repeat trains a
+    fresh instance (identical seeds -> identical work).  One product repeat
+    alternates with one reference repeat, so a slow phase of the host
+    (thermal throttling, noisy neighbours) cannot bias one side of the
+    ratio; the minimum filters scheduler noise, as the other benchmarks do.
     """
-    best_seconds = float("inf")
-    model = None
+    best = [(float("inf"), None), (float("inf"), None)]
     for _ in range(max(REPEATS, 1)):
-        candidate = make_model()
-        seconds = _train(candidate, X, y, classes, batch_size)
-        if seconds < best_seconds:
-            best_seconds = seconds
-            model = candidate
-    return model, best_seconds
+        for side, model_class in enumerate(
+            (DynamicModelTree, ReferenceDynamicModelTree)
+        ):
+            candidate = model_class(random_state=SEED)
+            seconds = _train(candidate, X, y, classes, batch_size)
+            if seconds < best[side][0]:
+                best[side] = (seconds, candidate)
+    return best
 
 
 def _assert_bit_identical(fast, reference, X_heldout) -> None:
@@ -141,13 +146,8 @@ def main() -> dict:
             X_train, y_train = X[:rows], y[:rows]
             X_heldout = X[rows:]
 
-            fast, fast_seconds = _train_best_of(
-                lambda: DynamicModelTree(random_state=SEED),
-                X_train, y_train, classes, batch_size,
-            )
-            reference, reference_seconds = _train_best_of(
-                lambda: ReferenceDynamicModelTree(random_state=SEED),
-                X_train, y_train, classes, batch_size,
+            (fast_seconds, fast), (reference_seconds, reference) = (
+                _train_interleaved(X_train, y_train, classes, batch_size)
             )
             _assert_bit_identical(fast, reference, X_heldout)
 

@@ -10,9 +10,9 @@ of recomputing::
         --scale 0.002 --jobs 2 --store results/ --tables
 
 ``--scenarios`` switches the grid from the paper's thirteen streams to the
-catalogue of composable stream scenarios (gradual/recurring/incremental
-drift, feature corruption, label noise, prior shift; see
-``repro.streams.scenarios``)::
+catalogue of stream scenarios (gradual/recurring/incremental drift, feature
+corruption, label noise, prior shift), each a pinned program of the
+scenario grammar (``repro.streams.grammar``)::
 
     python -m repro.experiments --scenarios --jobs 4 --store results-scenarios/
 

@@ -8,10 +8,13 @@ configuration of Section V-D and the baselines with the configurations the
 paper states.
 
 Beyond the paper's grid, :data:`SCENARIO_REGISTRY` catalogues named stream
-scenarios built from the composable transforms of
-:mod:`repro.streams.scenarios` -- gradual/recurring/incremental drift,
-feature corruption, label noise and prior shift -- all runnable through the
-same parallel experiment engine (``python -m repro.experiments --scenarios``).
+scenarios -- gradual/recurring/incremental drift, feature corruption, label
+noise and prior shift.  Each is a pinned
+:class:`~repro.streams.grammar.ScenarioProgram`, and ``fuzz-<seed>-<index>``
+names denote programs sampled from the same grammar; both kinds compile
+through :func:`~repro.streams.grammar.build_program` and run through the
+parallel experiment engine (``python -m repro.experiments --scenarios`` or
+``--fuzz-scenarios``).
 
 Every factory takes a ``scale`` (fraction of the original stream length) and
 a ``seed`` so that experiments are reproducible and laptop-sized by default.
@@ -19,7 +22,8 @@ a ``seed`` so that experiments are reproducible and laptop-sized by default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.base import StreamClassifier
@@ -27,26 +31,16 @@ from repro.core.dmt import DynamicModelTree
 from repro.ensembles.adaptive_random_forest import AdaptiveRandomForestClassifier
 from repro.ensembles.leveraging_bagging import LeveragingBaggingClassifier
 from repro.streams.base import Stream
-from repro.streams.grammar import build_program, sample_program
+from repro.streams.grammar import (
+    LayerSpec,
+    ScenarioProgram,
+    build_program,
+    sample_program,
+)
 from repro.streams.preprocessing import NormalizedStream
 from repro.streams.realworld import REAL_WORLD_SPECS, make_surrogate
-from repro.streams.scenarios import (
-    DriftInjector,
-    FeatureCorruptor,
-    ImbalanceShifter,
-    LabelNoiser,
-    ScenarioPipeline,
-)
-from repro.streams.synthetic import (
-    AgrawalGenerator,
-    HyperplaneGenerator,
-    LEDGenerator,
-    RandomRBFGenerator,
-    SEAGenerator,
-    SineGenerator,
-    STAGGERGenerator,
-    WaveformGenerator,
-)
+from repro.streams.scenarios import ScenarioPipeline
+from repro.streams.synthetic import AgrawalGenerator, HyperplaneGenerator, SEAGenerator
 from repro.trees.efdt import ExtremelyFastDecisionTreeClassifier
 from repro.trees.fimtdd import FIMTDDClassifier
 from repro.trees.hat import HoeffdingAdaptiveTreeClassifier
@@ -171,7 +165,7 @@ FIGURE3_DATASETS = ("hyperplane", "sea", "insects_incremental", "tueyeq")
 
 
 # --------------------------------------------------------------------------
-# Stream scenarios (composable transforms over the generators)
+# Stream scenarios (grammar programs: the catalogue and sampled fuzz names)
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ScenarioSpec(DatasetSpec):
@@ -183,208 +177,245 @@ class ScenarioSpec(DatasetSpec):
     description: str
 
 
-#: Nominal (scale=1.0) length of every catalogued scenario.
+#: Nominal (scale=1.0) length of every scenario.
 SCENARIO_NOMINAL_SAMPLES = 200_000
 
+#: Registry-name prefix of grammar-sampled scenarios.
+FUZZ_SCENARIO_PREFIX = "fuzz-"
 
-def _subseed(seed: int | None, offset: int) -> int | None:
-    """Derive independent child seeds from the experiment seed."""
-    return None if seed is None else seed * 1_000 + offset
+_FUZZ_NAME = re.compile(
+    re.escape(FUZZ_SCENARIO_PREFIX) + r"(0|[1-9][0-9]*)-(0|[1-9][0-9]*)"
+)
+
+#: Two stationary SEA concepts, theta 8 (concept 0) and theta 7 (concept 2).
+_SEA_THETA_8 = LayerSpec.of("sea", noise=0.05, drift_positions=(), seed=1)
+_SEA_THETA_7 = LayerSpec.of(
+    "sea", noise=0.05, drift_positions=(), initial_concept=2, seed=2
+)
+
+#: The scenario catalogue: one pinned grammar program per name, beside its
+#: display metadata (display name, drift label, family, description).  Seed
+#: parameters are offsets that :func:`_run_seeded` maps onto a run seed; at
+#: run seed 0 they are the seeds themselves, so each record is exactly the
+#: program of run seed 0.
+_CATALOGUE: dict[str, tuple[ScenarioProgram, str, str, str, str]] = {
+    entry[0].name: entry
+    for entry in (
+        (
+            ScenarioProgram(
+                "sea_gradual", 0, _SEA_THETA_8, alternate=_SEA_THETA_7,
+                drift=LayerSpec.of(
+                    "drift_injector", mode="gradual", position=0.5, width=0.05,
+                    seed=3,
+                ),
+            ),
+            "SEA (gradual drift)", "gradual", "drift",
+            "Sigmoid hand-over between two SEA concepts (theta 8 -> 7).",
+        ),
+        (
+            ScenarioProgram(
+                "sea_recurring", 0, _SEA_THETA_8, alternate=_SEA_THETA_7,
+                drift=LayerSpec.of("drift_injector", mode="recurring", period=0.2),
+            ),
+            "SEA (recurring drift)", "recurring", "drift",
+            "SEA concepts alternating every 20% of the stream.",
+        ),
+        (
+            ScenarioProgram(
+                "sine_incremental", 0,
+                LayerSpec.of("sine", classification_function=0, seed=1),
+                alternate=LayerSpec.of("sine", classification_function=1, seed=2),
+                drift=LayerSpec.of(
+                    "drift_injector", mode="incremental", position=0.35, width=0.3
+                ),
+            ),
+            "Sine (incremental drift)", "incremental", "drift",
+            "Features interpolate from SINE1 to reversed SINE1 over 30%.",
+        ),
+        (
+            ScenarioProgram(
+                "stagger_abrupt", 0,
+                LayerSpec.of("stagger", classification_function=0, seed=1),
+                alternate=LayerSpec.of("stagger", classification_function=2, seed=2),
+                drift=LayerSpec.of("drift_injector", mode="abrupt", position=0.5),
+            ),
+            "STAGGER (abrupt drift)", "abrupt", "drift",
+            "STAGGER concept 0 switches to concept 2 at midstream.",
+        ),
+        (
+            ScenarioProgram(
+                "agrawal_missing", 0,
+                LayerSpec.of("agrawal", perturbation=0.1, drift_windows=(), seed=1),
+                layers=(
+                    LayerSpec.of(
+                        "feature_corruptor", missing_rate=0.2, start=0.3, seed=2
+                    ),
+                ),
+            ),
+            "Agrawal (missing values)", "corruption", "corruption",
+            "20% of feature cells go missing (MCAR) after 30% of the stream.",
+        ),
+        (
+            ScenarioProgram(
+                "hyperplane_noisy", 0,
+                LayerSpec.of(
+                    "hyperplane", n_features=20, n_drift_features=5, noise=0.05,
+                    seed=1,
+                ),
+                layers=(
+                    LayerSpec.of("feature_corruptor", noise_std=0.3, start=0.5, seed=2),
+                ),
+            ),
+            "Hyperplane (sensor noise)", "corruption", "corruption",
+            "Gaussian sensor noise (std 0.3) after 50% of the stream.",
+        ),
+        (
+            ScenarioProgram(
+                "waveform_swap", 0, LayerSpec.of("waveform", seed=1),
+                layers=(
+                    LayerSpec.of(
+                        "feature_corruptor", swap=((0, 14), (3, 17), (7, 20)),
+                        start=0.5,
+                    ),
+                ),
+            ),
+            "Waveform (feature swap)", "corruption", "corruption",
+            "Three feature pairs swap columns (rewired sensors) at 50%.",
+        ),
+        (
+            ScenarioProgram(
+                "led_label_noise", 0, LayerSpec.of("led", noise=0.05, seed=1),
+                layers=(LayerSpec.of("label_noiser", noise=0.25, start=0.5, seed=2),),
+            ),
+            "LED (label noise)", "label_noise", "label_noise",
+            "25% uniform label flips in the second half of the stream.",
+        ),
+        (
+            # RBF's natural prior is near-uniform (~1/3 each), so with the
+            # base over-generated 1.5x a class can be pushed up to roughly
+            # half the stream; the target squeezes the third class to 5%
+            # within that supply limit.
+            ScenarioProgram(
+                "rbf_imbalance", 0,
+                LayerSpec.of(
+                    "rbf", n_features=8, n_classes=3, n_centroids=30, seed=1
+                ),
+                layers=(
+                    LayerSpec.of(
+                        "imbalance_shifter", class_weights=(0.5, 0.45, 0.05),
+                        start=0.25, end=0.75, oversample=1.5,
+                    ),
+                ),
+                oversample=1.5,
+            ),
+            "RBF (prior shift)", "imbalance", "imbalance",
+            "Class prior ramps to (0.5, 0.45, 0.05) between 25% and 75%.",
+        ),
+        (
+            ScenarioProgram(
+                "electricity_corrupted", 0, LayerSpec.of("electricity", seed=1),
+                layers=(
+                    LayerSpec.of(
+                        "feature_corruptor", missing_rate=0.1, noise_std=0.1,
+                        start=0.2, seed=2,
+                    ),
+                    LayerSpec.of("label_noiser", noise=0.1, start=0.6, seed=3),
+                ),
+            ),
+            "Electricity (corrupted)", "composite", "composite",
+            "Electricity surrogate + missing values + noise + label flips.",
+        ),
+        (
+            ScenarioProgram(
+                "sea_storm", 0, _SEA_THETA_8, alternate=_SEA_THETA_7,
+                drift=LayerSpec.of("drift_injector", mode="recurring", period=0.25),
+                layers=(
+                    LayerSpec.of(
+                        "feature_corruptor", missing_rate=0.1, noise_std=0.2,
+                        start=0.4, seed=3,
+                    ),
+                    LayerSpec.of("label_noiser", noise=0.15, start=0.6, seed=4),
+                ),
+            ),
+            "SEA (storm)", "composite", "composite",
+            "Recurring drift plus feature corruption plus label noise.",
+        ),
+    )
+}
+
+
+def _run_seeded(program: ScenarioProgram, seed: int | None) -> ScenarioProgram:
+    """A catalogue program re-seeded for run seed ``seed``.
+
+    The only place that knows the convention: each ``seed`` parameter of a
+    catalogue program is an offset k, which becomes ``seed * 1000 + k``
+    (``None`` for an unseeded run), so a scenario's sources are independent
+    of each other and follow the run seed.
+    """
+
+    def reseed(spec: LayerSpec) -> LayerSpec:
+        params = spec.kwargs()
+        offset = params.get("seed")
+        if isinstance(offset, int):
+            params["seed"] = None if seed is None else seed * 1_000 + offset
+        return LayerSpec.of(spec.kind, **params)
+
+    return replace(
+        program,
+        seed=seed,
+        base=reseed(program.base),
+        alternate=None if program.alternate is None else reseed(program.alternate),
+        drift=None if program.drift is None else reseed(program.drift),
+        layers=tuple(reseed(layer) for layer in program.layers),
+    )
+
+
+def parse_fuzz_name(name: str) -> tuple[int, int] | None:
+    """``(seed, index)`` of a ``fuzz-<seed>-<index>`` name, else ``None``.
+
+    Both parts are ASCII decimals without leading zeros, so every sampled
+    program has exactly one name.
+    """
+    match = _FUZZ_NAME.fullmatch(name)
+    if match is None:
+        return None
+    return int(match[1]), int(match[2])
+
+
+def fuzz_scenario_names(seed: int, count: int) -> list[str]:
+    """Registry names of the first ``count`` programs of fuzz seed ``seed``."""
+    return [f"{FUZZ_SCENARIO_PREFIX}{seed}-{index}" for index in range(count)]
+
+
+def scenario_program(name: str, seed: int | None = 42) -> ScenarioProgram:
+    """The grammar program a scenario name denotes under run seed ``seed``.
+
+    A catalogued name yields its pinned program re-seeded for the run; a
+    ``fuzz-<seed>-<index>`` program is a pure function of its name: the run
+    seed is deliberately ignored, so any worker, given just the registry
+    name, rebuilds the bit-identical scenario.
+    """
+    parsed = parse_fuzz_name(name)
+    if parsed is not None:
+        return sample_program(*parsed)
+    if name not in _CATALOGUE:
+        raise KeyError(
+            f"Unknown scenario {name!r}; available: {sorted(_CATALOGUE)} or a "
+            f"sampled program '{FUZZ_SCENARIO_PREFIX}<seed>-<index>'."
+        )
+    return _run_seeded(_CATALOGUE[name][0], seed)
 
 
 def build_scenario_pipeline(
     name: str, n_samples: int, seed: int | None = 42
 ) -> ScenarioPipeline:
-    """Build the raw (un-normalised) pipeline of a catalogued scenario.
+    """Build the raw (un-normalised) pipeline of a catalogued or sampled scenario.
 
     Exposed separately from the registry factories so tests and benchmarks
     can exercise the exact transform stack without the online normalisation
     wrapper (which is consumption-order dependent by design).
     """
-    if name not in _SCENARIO_BUILDERS:
-        raise KeyError(
-            f"Unknown scenario {name!r}; available: {sorted(_SCENARIO_BUILDERS)}."
-        )
-    return _SCENARIO_BUILDERS[name](n_samples, seed)
-
-
-def _sea_pair(n_samples: int, seed: int | None):
-    """Two stationary SEA concepts (theta=8 vs theta=7) of equal length."""
-    base = SEAGenerator(
-        n_samples=n_samples, noise=0.05, drift_positions=(),
-        seed=_subseed(seed, 1),
-    )
-    alternate = SEAGenerator(
-        n_samples=n_samples, noise=0.05, drift_positions=(), initial_concept=2,
-        seed=_subseed(seed, 2),
-    )
-    return base, alternate
-
-
-def _scenario_sea_gradual(n: int, seed: int | None) -> ScenarioPipeline:
-    base, alternate = _sea_pair(n, seed)
-    return ScenarioPipeline(
-        DriftInjector(
-            base, alternate, mode="gradual", position=0.5, width=0.05,
-            seed=_subseed(seed, 3),
-        ),
-        name="sea_gradual",
-    )
-
-
-def _scenario_sea_recurring(n: int, seed: int | None) -> ScenarioPipeline:
-    base, alternate = _sea_pair(n, seed)
-    return ScenarioPipeline(
-        DriftInjector(base, alternate, mode="recurring", period=0.2),
-        name="sea_recurring",
-    )
-
-
-def _scenario_sine_incremental(n: int, seed: int | None) -> ScenarioPipeline:
-    base = SineGenerator(
-        n_samples=n, classification_function=0, seed=_subseed(seed, 1)
-    )
-    alternate = SineGenerator(
-        n_samples=n, classification_function=1, seed=_subseed(seed, 2)
-    )
-    return ScenarioPipeline(
-        DriftInjector(base, alternate, mode="incremental", position=0.35, width=0.3),
-        name="sine_incremental",
-    )
-
-
-def _scenario_stagger_abrupt(n: int, seed: int | None) -> ScenarioPipeline:
-    base = STAGGERGenerator(
-        n_samples=n, classification_function=0, seed=_subseed(seed, 1)
-    )
-    alternate = STAGGERGenerator(
-        n_samples=n, classification_function=2, seed=_subseed(seed, 2)
-    )
-    return ScenarioPipeline(
-        DriftInjector(base, alternate, mode="abrupt", position=0.5),
-        name="stagger_abrupt",
-    )
-
-
-def _scenario_agrawal_missing(n: int, seed: int | None) -> ScenarioPipeline:
-    return ScenarioPipeline(
-        AgrawalGenerator(
-            n_samples=n, perturbation=0.1, drift_windows=(),
-            seed=_subseed(seed, 1),
-        ),
-        layers=[
-            (FeatureCorruptor, dict(
-                missing_rate=0.2, start=0.3, seed=_subseed(seed, 2),
-            )),
-        ],
-        name="agrawal_missing",
-    )
-
-
-def _scenario_hyperplane_noisy(n: int, seed: int | None) -> ScenarioPipeline:
-    return ScenarioPipeline(
-        HyperplaneGenerator(
-            n_samples=n, n_features=20, n_drift_features=5, noise=0.05,
-            seed=_subseed(seed, 1),
-        ),
-        layers=[
-            (FeatureCorruptor, dict(
-                noise_std=0.3, start=0.5, seed=_subseed(seed, 2),
-            )),
-        ],
-        name="hyperplane_noisy",
-    )
-
-
-def _scenario_waveform_swap(n: int, seed: int | None) -> ScenarioPipeline:
-    return ScenarioPipeline(
-        WaveformGenerator(n_samples=n, seed=_subseed(seed, 1)),
-        layers=[
-            (FeatureCorruptor, dict(
-                swap=((0, 14), (3, 17), (7, 20)), start=0.5,
-            )),
-        ],
-        name="waveform_swap",
-    )
-
-
-def _scenario_led_label_noise(n: int, seed: int | None) -> ScenarioPipeline:
-    return ScenarioPipeline(
-        LEDGenerator(n_samples=n, noise=0.05, seed=_subseed(seed, 1)),
-        layers=[
-            (LabelNoiser, dict(noise=0.25, start=0.5, seed=_subseed(seed, 2))),
-        ],
-        name="led_label_noise",
-    )
-
-
-def _scenario_rbf_imbalance(n: int, seed: int | None) -> ScenarioPipeline:
-    # The shifter selects from a 1.5x over-sampled window, so the base
-    # stream is generated longer to keep the scenario length at ``n``.
-    # RBF's natural prior is near-uniform (~1/3 each), so with 1.5x
-    # over-sampling a class can be pushed up to roughly half the stream;
-    # the target squeezes the third class to 5% within that supply limit.
-    return ScenarioPipeline(
-        RandomRBFGenerator(
-            n_samples=int(n * 1.5) + 1, n_features=8, n_classes=3,
-            n_centroids=30, seed=_subseed(seed, 1),
-        ),
-        layers=[
-            (ImbalanceShifter, dict(
-                class_weights=(0.5, 0.45, 0.05), start=0.25, end=0.75,
-                oversample=1.5,
-            )),
-        ],
-        name="rbf_imbalance",
-    )
-
-
-def _scenario_electricity_corrupted(n: int, seed: int | None) -> ScenarioPipeline:
-    spec = REAL_WORLD_SPECS["electricity"]
-    return ScenarioPipeline(
-        make_surrogate(
-            "electricity", scale=n / spec.n_samples, seed=_subseed(seed, 1)
-        ),
-        layers=[
-            (FeatureCorruptor, dict(
-                missing_rate=0.1, noise_std=0.1, start=0.2,
-                seed=_subseed(seed, 2),
-            )),
-            (LabelNoiser, dict(noise=0.1, start=0.6, seed=_subseed(seed, 3))),
-        ],
-        name="electricity_corrupted",
-    )
-
-
-def _scenario_sea_storm(n: int, seed: int | None) -> ScenarioPipeline:
-    """Everything at once: recurring drift + corruption + label noise."""
-    base, alternate = _sea_pair(n, seed)
-    return ScenarioPipeline(
-        DriftInjector(base, alternate, mode="recurring", period=0.25),
-        layers=[
-            (FeatureCorruptor, dict(
-                missing_rate=0.1, noise_std=0.2, start=0.4,
-                seed=_subseed(seed, 3),
-            )),
-            (LabelNoiser, dict(noise=0.15, start=0.6, seed=_subseed(seed, 4))),
-        ],
-        name="sea_storm",
-    )
-
-
-_SCENARIO_BUILDERS: dict[str, Callable[[int, int | None], ScenarioPipeline]] = {
-    "sea_gradual": _scenario_sea_gradual,
-    "sea_recurring": _scenario_sea_recurring,
-    "sine_incremental": _scenario_sine_incremental,
-    "stagger_abrupt": _scenario_stagger_abrupt,
-    "agrawal_missing": _scenario_agrawal_missing,
-    "hyperplane_noisy": _scenario_hyperplane_noisy,
-    "waveform_swap": _scenario_waveform_swap,
-    "led_label_noise": _scenario_led_label_noise,
-    "rbf_imbalance": _scenario_rbf_imbalance,
-    "electricity_corrupted": _scenario_electricity_corrupted,
-    "sea_storm": _scenario_sea_storm,
-}
+    return build_program(scenario_program(name, seed), n_samples)
 
 
 def _scenario_factory(name: str) -> Callable[[float, int | None], Stream]:
@@ -395,109 +426,40 @@ def _scenario_factory(name: str) -> Callable[[float, int | None], Stream]:
     return factory
 
 
-def _build_scenario_registry() -> dict[str, ScenarioSpec]:
-    metadata = {
-        # name: (display, features, classes, drift, family, description)
-        "sea_gradual": (
-            "SEA (gradual drift)", 3, 2, "gradual", "drift",
-            "Sigmoid hand-over between two SEA concepts (theta 8 -> 7).",
-        ),
-        "sea_recurring": (
-            "SEA (recurring drift)", 3, 2, "recurring", "drift",
-            "SEA concepts alternating every 20% of the stream.",
-        ),
-        "sine_incremental": (
-            "Sine (incremental drift)", 2, 2, "incremental", "drift",
-            "Features interpolate from SINE1 to reversed SINE1 over 30%.",
-        ),
-        "stagger_abrupt": (
-            "STAGGER (abrupt drift)", 3, 2, "abrupt", "drift",
-            "STAGGER concept 0 switches to concept 2 at midstream.",
-        ),
-        "agrawal_missing": (
-            "Agrawal (missing values)", 9, 2, "corruption", "corruption",
-            "20% of feature cells go missing (MCAR) after 30% of the stream.",
-        ),
-        "hyperplane_noisy": (
-            "Hyperplane (sensor noise)", 20, 2, "corruption", "corruption",
-            "Gaussian sensor noise (std 0.3) after 50% of the stream.",
-        ),
-        "waveform_swap": (
-            "Waveform (feature swap)", 21, 3, "corruption", "corruption",
-            "Three feature pairs swap columns (rewired sensors) at 50%.",
-        ),
-        "led_label_noise": (
-            "LED (label noise)", 24, 10, "label_noise", "label_noise",
-            "25% uniform label flips in the second half of the stream.",
-        ),
-        "rbf_imbalance": (
-            "RBF (prior shift)", 8, 3, "imbalance", "imbalance",
-            "Class prior ramps to (0.5, 0.45, 0.05) between 25% and 75%.",
-        ),
-        "electricity_corrupted": (
-            "Electricity (corrupted)", 8, 2, "composite", "composite",
-            "Electricity surrogate + missing values + noise + label flips.",
-        ),
-        "sea_storm": (
-            "SEA (storm)", 3, 2, "composite", "composite",
-            "Recurring drift plus feature corruption plus label noise.",
-        ),
-    }
-    registry: dict[str, ScenarioSpec] = {}
-    for name, builder in _SCENARIO_BUILDERS.items():
-        display, n_features, n_classes, drift, family, description = metadata[name]
-        registry[name] = ScenarioSpec(
-            name=name,
-            display_name=display,
-            n_samples=SCENARIO_NOMINAL_SAMPLES,
-            n_features=n_features,
-            n_classes=n_classes,
-            drift=drift,
-            known_drift=True,
-            family=family,
-            description=description,
-            factory=_scenario_factory(name),
-        )
-    return registry
+def _scenario_spec(
+    name: str,
+    program: ScenarioProgram,
+    display_name: str,
+    drift: str,
+    known_drift: bool,
+    family: str,
+    description: str,
+) -> ScenarioSpec:
+    """The spec of a scenario; its shape is read off the built ``program``."""
+    probe = build_program(program, 500)
+    return ScenarioSpec(
+        name=name,
+        display_name=display_name,
+        n_samples=SCENARIO_NOMINAL_SAMPLES,
+        n_features=probe.n_features,
+        n_classes=probe.n_classes,
+        drift=drift,
+        known_drift=known_drift,
+        family=family,
+        description=description,
+        factory=_scenario_factory(name),
+    )
 
 
-SCENARIO_REGISTRY: dict[str, ScenarioSpec] = _build_scenario_registry()
-
-
-# --------------------------------------------------------------------------
-# Fuzz scenarios (sampled from the grammar, self-describing names)
-# --------------------------------------------------------------------------
-#: Registry-name prefix of grammar-sampled scenarios.
-FUZZ_SCENARIO_PREFIX = "fuzz-"
+SCENARIO_REGISTRY: dict[str, ScenarioSpec] = {
+    name: _scenario_spec(
+        name, program, display, drift, known_drift=True, family=family,
+        description=description,
+    )
+    for name, (program, display, drift, family, description) in _CATALOGUE.items()
+}
 
 _FUZZ_SPEC_CACHE: dict[str, ScenarioSpec] = {}
-
-
-def parse_fuzz_name(name: str) -> tuple[int, int] | None:
-    """``(seed, index)`` of a ``fuzz-<seed>-<index>`` name, else ``None``."""
-    if not name.startswith(FUZZ_SCENARIO_PREFIX):
-        return None
-    parts = name[len(FUZZ_SCENARIO_PREFIX):].split("-")
-    if len(parts) != 2 or not all(part.isdigit() for part in parts):
-        return None
-    return int(parts[0]), int(parts[1])
-
-
-def fuzz_scenario_names(seed: int, count: int) -> list[str]:
-    """Registry names of the first ``count`` programs of fuzz seed ``seed``."""
-    return [f"{FUZZ_SCENARIO_PREFIX}{seed}-{index}" for index in range(count)]
-
-
-def _fuzz_factory(seed: int, index: int) -> Callable[[float, int | None], Stream]:
-    def factory(scale: float, run_seed: int | None) -> Stream:
-        # The program is a pure function of the name's own (seed, index) --
-        # the run seed is deliberately ignored so any worker, given just the
-        # registry name, rebuilds the bit-identical scenario.
-        n_samples = max(int(SCENARIO_NOMINAL_SAMPLES * scale), 500)
-        program = sample_program(seed, index)
-        return NormalizedStream(build_program(program, n_samples))
-
-    return factory
 
 
 def get_fuzz_spec(name: str) -> ScenarioSpec:
@@ -517,23 +479,18 @@ def get_fuzz_spec(name: str) -> ScenarioSpec:
             f"Malformed fuzz scenario name {name!r}; expected "
             f"'{FUZZ_SCENARIO_PREFIX}<seed>-<index>'."
         )
-    seed, index = parsed
-    program = sample_program(seed, index)
-    probe = build_program(program, 500)
+    program = scenario_program(name)
     drift = (
         program.drift.kind.replace("_", " ") if program.drift is not None else "none"
     )
-    spec = ScenarioSpec(
-        name=name,
-        display_name=f"Fuzz {seed}/{index}",
-        n_samples=SCENARIO_NOMINAL_SAMPLES,
-        n_features=probe.n_features,
-        n_classes=probe.n_classes,
+    spec = _scenario_spec(
+        name,
+        program,
+        display_name=f"Fuzz {parsed[0]}/{parsed[1]}",
         drift=drift,
         known_drift=program.drift is not None,
         family="fuzz",
         description=program.describe(),
-        factory=_fuzz_factory(seed, index),
     )
     _FUZZ_SPEC_CACHE[name] = spec
     return spec

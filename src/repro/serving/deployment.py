@@ -125,8 +125,8 @@ class ChampionChallenger:
         ``X``/``y`` are passed through as-is: every consumer
         (``predict``/``partial_fit``) runs its own ``asarray`` validation,
         so a defensive copy here would be pure memory-bandwidth overhead
-        on the hot path (removing it measured parity, 1.006x, in
-        ``BENCH_scenarios.json``).
+        on the hot path (removing it measured parity, 1.006x rows/s, on
+        2048-row float64 batches).
         """
         champion = self.champion
         classes = champion.classes_

@@ -1,13 +1,14 @@
-"""Scenario grammar: a seeded sampler over the space of stream scenarios.
+"""Scenario grammar: the one way a stream scenario is defined and built.
 
-The scenario catalogue of :mod:`repro.experiments.registry` is hand-written;
-this module turns scenario construction into a *grammar* whose programs are
-sampled from a seed.  A :class:`ScenarioProgram` is a declarative, JSON-safe
-description -- base generator, optional drift construction, transform layers
--- and :func:`build_program` compiles it into a
-:class:`~repro.streams.scenarios.ScenarioPipeline`.  Because a program is a
-pure function of ``(seed, index)`` and the compiled pipeline is built from
-chunk-invariant transforms, any sampled scenario is
+A :class:`ScenarioProgram` is a declarative, JSON-safe description -- base
+generator, optional drift construction, transform layers -- and
+:func:`build_program` compiles it into a
+:class:`~repro.streams.scenarios.ScenarioPipeline`.  Every scenario of the
+repository is such a program: the named catalogue of
+:mod:`repro.experiments.registry` pins one program per scenario, and
+:func:`sample_program` draws programs from a seed.  Because a sampled
+program is a pure function of ``(seed, index)`` and the compiled pipeline is
+built from chunk-invariant transforms, any sampled scenario is
 
 * reproducible from its name alone (``fuzz-<seed>-<index>``), which is how
   parallel experiment workers rebuild it in a fresh process,
@@ -42,6 +43,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.streams.base import SeededStream, Stream
+from repro.streams.realworld import REAL_WORLD_SPECS, make_surrogate
 from repro.streams.scenarios import (
     DriftInjector,
     FeatureCorruptor,
@@ -96,6 +98,11 @@ class LayerSpec:
     kind: str
     params: Params = ()
 
+    @classmethod
+    def of(cls, kind: str, **params: object) -> LayerSpec:
+        """The spec of ``kind`` with keyword arguments ``params``."""
+        return cls(kind, _params(params))
+
     def kwargs(self) -> dict[str, object]:
         return dict(self.params)
 
@@ -108,15 +115,18 @@ class ScenarioProgram:
     """A declarative scenario: the output of one grammar sample.
 
     ``base`` (and ``alternate``, when a drift layer is present) name a
-    generator family from :data:`GENERATOR_FAMILIES`; ``drift`` is the
+    generator family from :data:`GENERATOR_FAMILIES` or a Table I surrogate
+    from :data:`~repro.streams.realworld.REAL_WORLD_SPECS`; ``drift`` is the
     optional concept-drift construction combining them; ``layers`` are the
     remaining transform productions, applied innermost first.  ``oversample``
     records the base-stream over-generation factor an
     :class:`~repro.streams.scenarios.ImbalanceShifter` layer needs.
+    ``seed`` is the fuzz seed of a sampled program, or the run seed a
+    catalogue program was seeded for (``None`` for an unseeded run).
     """
 
     name: str
-    seed: int
+    seed: int | None
     base: LayerSpec
     alternate: LayerSpec | None = None
     drift: LayerSpec | None = None
@@ -508,10 +518,14 @@ def sample_program(seed: int, index: int = 0) -> ScenarioProgram:
 
 
 def _build_generator(spec: LayerSpec, n_samples: int) -> SeededStream:
+    kwargs = spec.kwargs()
+    surrogate = REAL_WORLD_SPECS.get(spec.kind)
+    if surrogate is not None:
+        scale = n_samples / surrogate.n_samples
+        return make_surrogate(spec.kind, scale=scale, **kwargs)  # type: ignore[arg-type]
     cls = _GENERATORS.get(spec.kind)
     if cls is None:
         raise ValueError(f"Unknown generator kind {spec.kind!r}.")
-    kwargs = spec.kwargs()
     # JSON round-trips turn tuples into lists; generators expect tuples.
     for key in ("drift_positions", "drift_windows"):
         if key in kwargs:

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.registry import (
     ScenarioSpec,
+    build_scenario_pipeline,
     fuzz_scenario_names,
     get_dataset_spec,
     make_dataset,
@@ -231,6 +232,37 @@ def test_malformed_fuzz_names_are_rejected():
     assert parse_fuzz_name("sea") is None
     with pytest.raises(KeyError):
         get_dataset_spec("fuzz-oops")
+    # Only ASCII decimals without leading zeros: a digit that int() cannot
+    # parse, and spellings that would give one program several registry
+    # names, are not fuzz names.
+    for name in (
+        "fuzz-\u00b2-3",  # superscript two
+        "fuzz-042-3",
+        "fuzz-42-03",
+        "fuzz-\u0664\u0662-3",  # Arabic-Indic 42
+        "fuzz-+42-3",
+        "fuzz-42-3\n",
+        "fuzz-42-3-1",
+        "fuzz--3",
+    ):
+        assert parse_fuzz_name(name) is None, repr(name)
+        with pytest.raises(KeyError):
+            get_dataset_spec(name)
+    # Every name fuzz_scenario_names writes is canonical and parses back.
+    for seed in (0, 7, 42, 10_000):
+        for index, name in enumerate(fuzz_scenario_names(seed, 12)):
+            assert parse_fuzz_name(name) == (seed, index)
+
+
+def test_fuzz_names_build_through_the_scenario_pipeline_path():
+    """A fuzz name builds its sampled program, whatever the run seed."""
+    expected = build_program(sample_program(FUZZ_SEED, 3), N)
+    for run_seed in (0, None):
+        pipeline = build_scenario_pipeline(f"fuzz-{FUZZ_SEED}-3", N, seed=run_seed)
+        assert pipeline.describe() == expected.describe()
+        for actual, wanted in zip(pipeline.take(), expected.take()):
+            np.testing.assert_array_equal(actual, wanted)
+        expected.restart()
 
 
 # ---------------------------------------------------------------------------
