@@ -68,6 +68,50 @@ and every fresh gain is finite.  It is not used while a stored gain is NaN:
 the admission loop admits any newcomer that meets a NaN.  Nothing about it
 is configurable.  The per-candidate reference in ``tests/oracles.py`` never
 prunes and stays the oracle the store is tested against.
+
+Stage 3 is a screen that runs under the same conditions (a full store, a
+certified batch, no NaN stored gain).  It takes the stage-2 survivors' sums
+from a BLAS product ``masks.T @ augmented`` and sweeps their gains ``s``
+with :func:`candidate_gain_sweep`.  Both paths sum the same masked terms:
+the einsum adds them in sequence, BLAS in an order of its own.  A mask
+entry is 0 or 1, so every product is exact.  For a conventional
+(non-Strassen) gemm, with or without FMA, each entry obeys
+``|fl(Σ) − Σ| ≤ γ_n·Σ|terms|`` in any order of evaluation (Higham, §3.1
+and §3.5); OpenBLAS's kernels are conventional, which this assumes.  That
+is the summation bound the derivation of ``M`` applies to every sum, and
+that derivation counts the roundings of each term, not their order.  So
+``M`` bounds the distance of either path's swept gain from the gain in
+exact arithmetic, and the two lie within ``2M`` of each other.  With
+``E = 3M`` the interval ``[s − E, s + E]`` contains the gain the einsum
+path computes; the third ``M`` covers the rounding of ``s ± E``, at most
+``u·(|s| + E)``.  As ``|s| ≤ 3·Σₙ|ℓₙ| + λ·(n + 1)·Σₙ‖gₙ‖² + M`` and
+``γ_K ≥ 13·u``, that rounding is below ``M/50``.
+
+Let ``R_j`` count the candidates whose lower end is above candidate ``j``'s
+upper end.  Each of them has a larger exact gain than ``j``, so the
+admission loop, which pairs newcomers in descending gain order with stored
+gains in ascending order, reaches ``j`` no earlier than at place ``R_j``
+and pairs it with a stored gain no smaller than ``r_{R_j}``, the stored
+gain at that place.  ``j`` is dropped when ``R_j`` is at least the
+replacement budget (the loop ends first) or when ``s_j + E ≤ r_{R_j}``
+(the loop stops at or before ``j``).  Dropping a candidate the loop does
+not admit leaves every admission unchanged: the candidates before it keep
+their places, and whichever takes its place has no larger gain, so the
+loop stops where it stopped.  The survivors go through the einsum, the
+sweep and the admission loop unchanged; no BLAS value is ever stored.
+
+The product runs in blocks of at most ``2¹⁸`` multiply-adds
+(:data:`_SCREEN_BLOCK`), the largest gemm OpenBLAS keeps on the calling
+thread whatever its thread count: its limit is
+``65536 · GEMM_MULTITHREAD_THRESHOLD`` (default 4).  In one piece, the
+125 × 500 × 52 product of ``dmt/hyperplane`` took 5.2 ms of CPU time on
+2 BLAS threads against 0.23 ms on one; in blocks it takes 0.23 ms on
+either.  The screen runs only when the einsum it may skip holds at least
+one block of work, which the einsum sums in about 140 µs, while the
+screen's fixed cost is 75–90 µs.  Without that threshold, on
+``dmt/agrawal`` (100k rows), whose einsums hold at most 90,200
+multiply-adds, 3,401 screens took 257–298 ms to save 74–94 ms of einsum
+(two runs).
 """
 
 from __future__ import annotations
@@ -82,6 +126,7 @@ from repro.telemetry import (
     DMT_CANDIDATES,
     DMT_CANDIDATES_ADMITTED_TOTAL,
     DMT_CANDIDATES_EVICTED_TOTAL,
+    DMT_CANDIDATES_SUMMED_TOTAL,
     TELEMETRY,
 )
 
@@ -89,6 +134,9 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 #: Largest batch scale for which the admission bound's margin is certified.
 _MAX_BOUND_SCALE = 2.0**1000
+#: Multiply-adds per block of the stage-3 product, and the least einsum work
+#: the screen runs for (both measured; see the module docstring).
+_SCREEN_BLOCK = 2**18
 
 
 @register
@@ -246,11 +294,12 @@ def candidate_gain_sweep(
 class _AdmissionBound:
     """Upper bounds on the batch gains of a batch's fresh candidates.
 
-    The two stages of the admission bound derived in the module docstring:
-    ``batch_bound`` holds for every fresh candidate of the batch and
-    :meth:`candidate_bounds` for each informative one.  ``certified`` is
-    false when the batch is too large in scale, or not finite, for the
-    rounding margin to hold; then neither bound may be used.
+    The three stages of the admission bound derived in the module
+    docstring: ``batch_bound`` holds for every fresh candidate of the batch,
+    :meth:`candidate_bounds` for each informative one, and :meth:`screen`
+    ranks candidates against each other.  ``certified`` is false when the
+    batch is too large in scale, or not finite, for the rounding margin to
+    hold; then no stage may be used.
     """
 
     def __init__(
@@ -294,6 +343,44 @@ class _AdmissionBound:
         )
         spread_bound = self._learning_rate * (mean_term + n_rows * cross)
         return np.minimum(self._batch_loss, spread_bound) + self._margin
+
+    def gain_intervals(
+        self, masks: np.ndarray, counts: np.ndarray, augmented: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(s − E, s + E)`` per candidate, ``s`` swept from BLAS sums.
+
+        Each interval contains the gain the exact path computes from the
+        einsum sums of the same float left mask (column of ``masks``).
+        """
+        step = max(_SCREEN_BLOCK // augmented.size, 1)
+        sums = np.concatenate([
+            masks[:, start : start + step].T @ augmented
+            for start in range(0, masks.shape[1], step)
+        ])
+        gains = candidate_gain_sweep(
+            sums[:, -1], sums[:, :-1], counts, self._batch_loss,
+            self._batch_gradient, float(len(augmented)), self._learning_rate,
+            assume_counts_positive=True,
+        )
+        return gains - 3.0 * self._margin, gains + 3.0 * self._margin
+
+    def screen(
+        self,
+        masks: np.ndarray,
+        counts: np.ndarray,
+        augmented: np.ndarray,
+        rivals: np.ndarray,
+    ) -> np.ndarray:
+        """Whether the admission loop might admit each candidate (stage 3).
+
+        ``rivals`` are the stored gains the loop pairs newcomers with,
+        weakest first, one per replacement slot.
+        """
+        lower, upper = self.gain_intervals(masks, counts, augmented)
+        # Candidates certain to come before each one in the admission loop.
+        ahead = len(lower) - np.searchsorted(np.sort(lower), upper, side="right")
+        rival = rivals[np.minimum(ahead, len(rivals) - 1)]
+        return (ahead < len(rivals)) & ~(upper <= rival)
 
 
 @register
@@ -360,8 +447,8 @@ class CandidateManager:
     # -------------------------------------------------------------- decoding
     def _init_transient(self) -> None:
         """Rebuild the key index; migrate legacy dict-of-dataclass payloads."""
-        #: Cached admitted/evicted counter handles, stamped with the metric
-        #: registry generation they were resolved under (a registry
+        #: Cached summed/admitted/evicted counter handles, stamped with the
+        #: metric registry generation they were resolved under (a registry
         #: ``clear()`` bumps the generation and invalidates them).
         #: Candidate updates are the most frequent instrumented site in DMT
         #: training, so the labelled registry lookup is hoisted out of the
@@ -397,18 +484,18 @@ class CandidateManager:
         }
 
     def _telemetry_counters(self):
-        """Admitted/evicted counter handles, re-resolved per registry generation."""
+        """Summed/admitted/evicted counter handles, re-resolved per registry
+        generation."""
         registry = TELEMETRY.registry
         cache = self._candidate_counters
         if cache.get("generation") != registry.generation:
-            cache["admitted"] = registry.counter(
-                DMT_CANDIDATES_ADMITTED_TOTAL
-            )
-            cache["evicted"] = registry.counter(
-                DMT_CANDIDATES_EVICTED_TOTAL
+            cache["handles"] = (
+                registry.counter(DMT_CANDIDATES_SUMMED_TOTAL),
+                registry.counter(DMT_CANDIDATES_ADMITTED_TOTAL),
+                registry.counter(DMT_CANDIDATES_EVICTED_TOTAL),
             )
             cache["generation"] = registry.generation
-        return cache["admitted"], cache["evicted"]
+        return cache["handles"]
 
     # ------------------------------------------------------------ accessors
     def __len__(self) -> int:
@@ -585,10 +672,10 @@ class CandidateManager:
         batch_count = float(len(per_sample_loss))
         budget = int(np.floor(self.replacement_rate * self.max_candidates))
 
-        stored_gains = stored_order = admission = weakest_gain = None
+        stored_gains = stored_order = admission = rivals = None
         if len(self._features) >= self.max_candidates:
-            # Full store: skip what provably cannot beat the weakest stored
-            # gain (the admission bound of the module docstring).
+            # Full store: skip what provably cannot be admitted (the
+            # admission bound of the module docstring).
             if budget == 0:
                 return
             stored_gains = self._stored_gains(
@@ -601,16 +688,19 @@ class CandidateManager:
                     per_sample_loss, per_sample_gradient, batch_loss,
                     batch_gradient, learning_rate,
                 )
-                weakest_gain = stored_gains[stored_order[0]]
+                # The stored gains the admission loop pairs newcomers with.
+                rivals = stored_gains[stored_order[:budget]]
                 if not admission.certified:
                     admission = None
-                elif admission.batch_bound <= weakest_gain:
+                elif admission.batch_bound <= rivals[0]:
                     return
 
-        fresh = self._propose_fresh(X, augmented, admission, weakest_gain)
+        fresh = self._propose_fresh(X, augmented, admission, rivals)
         if fresh is None:
             return
         fresh_features, fresh_thresholds, fresh_losses, fresh_gradients, fresh_counts = fresh
+        if TELEMETRY.enabled:
+            self._telemetry_counters()[0].inc(len(fresh_features))
 
         fresh_gains = candidate_gain_sweep(
             fresh_losses,
@@ -677,7 +767,7 @@ class CandidateManager:
                     n_evicted=len(evicted),
                     n_stored=len(self._features),
                 )
-                admitted_total, evicted_total = self._telemetry_counters()
+                _, admitted_total, evicted_total = self._telemetry_counters()
                 admitted_total.inc(len(admitted))
                 if evicted:
                     evicted_total.inc(len(evicted))
@@ -687,15 +777,16 @@ class CandidateManager:
         X: np.ndarray,
         augmented: np.ndarray,
         admission: _AdmissionBound | None = None,
-        weakest_gain: float | None = None,
+        rivals: np.ndarray | None = None,
     ):
         """Statistics of the batch's informative, not-yet-stored candidates.
 
         Returns ``None`` when the batch proposes nothing new, otherwise the
         tuple ``(features, thresholds, losses, gradients, counts)`` in
         proposal order (feature ascending, threshold ascending).  With an
-        ``admission`` bound, candidates whose bound is ``<= weakest_gain``
-        are dropped before their statistics are summed.
+        ``admission`` bound, candidates that stages 2 and 3 rule out against
+        ``rivals`` (the stored gains the admission loop pairs newcomers
+        with, weakest first) are dropped before their statistics are summed.
         """
         fresh_features, fresh_thresholds = self._propose_concat(X)
         if len(self._features):
@@ -723,8 +814,12 @@ class CandidateManager:
         counts = counts[informative]
         weights = masks.astype(float)
         if admission is not None:
-            bounds = admission.candidate_bounds(weights, counts)
-            keep = ~(bounds <= weakest_gain)
+            keep = ~(admission.candidate_bounds(weights, counts) <= rivals[0])
+            if np.count_nonzero(keep) * augmented.size >= _SCREEN_BLOCK:
+                survivors = weights if keep.all() else weights[:, keep]
+                keep[keep] = admission.screen(
+                    survivors, counts[keep], augmented, rivals
+                )
             if not keep.any():
                 return None
             if not keep.all():

@@ -71,6 +71,7 @@ from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DMT_CANDIDATES_ADMITTED_TOTAL,
     DMT_CANDIDATES_EVICTED_TOTAL,
+    DMT_CANDIDATES_SUMMED_TOTAL,
     DMT_PRUNES_TOTAL,
     DMT_RESPLITS_TOTAL,
     DMT_SPLITS_TOTAL,
@@ -195,6 +196,7 @@ __all__ = [
     # Metric names.
     "DMT_CANDIDATES_ADMITTED_TOTAL",
     "DMT_CANDIDATES_EVICTED_TOTAL",
+    "DMT_CANDIDATES_SUMMED_TOTAL",
     "DMT_PRUNES_TOTAL",
     "DMT_RESPLITS_TOTAL",
     "DMT_SPLITS_TOTAL",

@@ -54,6 +54,8 @@ DMT_RESPLITS_TOTAL = "repro.dmt.resplits_total"
 DMT_CANDIDATES_ADMITTED_TOTAL = "repro.dmt.candidates_admitted_total"
 #: Split candidates evicted from a DMT candidate store.
 DMT_CANDIDATES_EVICTED_TOTAL = "repro.dmt.candidates_evicted_total"
+#: Fresh split candidates whose exact statistics a DMT candidate store summed.
+DMT_CANDIDATES_SUMMED_TOTAL = "repro.dmt.candidates_summed_total"
 #: Drift detections, labelled by ``detector``.
 DRIFT_DETECTIONS_TOTAL = "repro.drift.detections_total"
 #: Ensemble member resets after a member's detector fired, by ``model``.

@@ -164,6 +164,8 @@ class ReferenceCandidateManager(CandidateManager):
         if fresh is None:
             return
         fresh_features, fresh_thresholds, fresh_losses, fresh_gradients, fresh_counts = fresh
+        if TELEMETRY.enabled:
+            self._telemetry_counters()[0].inc(len(fresh_features))
 
         fresh_gains = np.array(
             [
@@ -232,7 +234,7 @@ class ReferenceCandidateManager(CandidateManager):
                     n_evicted=len(evicted),
                     n_stored=len(self._features),
                 )
-                admitted_total, evicted_total = self._telemetry_counters()
+                _, admitted_total, evicted_total = self._telemetry_counters()
                 admitted_total.inc(len(admitted))
                 if evicted:
                     evicted_total.inc(len(evicted))

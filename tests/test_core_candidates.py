@@ -271,46 +271,63 @@ class TestCandidateManagerQueries:
             assert candidate.count <= total
 
 
+_FRESH_BATCHES = dict(
+    seed=st.integers(0, 100_000),
+    n_rows=st.sampled_from([2, 2, 2, 3, 4, 7, 40, 125]),
+    n_classes=st.integers(2, 25),
+    learning_rate=st.sampled_from([1e-3, 0.05, 1.0]),
+    gaussian=st.booleans(),
+)
+
+
+def _fresh_batch(seed, n_rows, n_classes, learning_rate, gaussian):
+    """A batch's exact fresh gains, its admission bound and the inputs of
+    its per-candidate stages (float left masks, counts, augmented batch)."""
+    rng = np.random.default_rng(seed)
+    X, loss, grad = make_glm_batch(rng, n_rows, n_classes)
+    if gaussian:
+        grad = rng.normal(size=grad.shape)
+    augmented = augment_batch(loss, grad)
+    manager = CandidateManager(n_features=3, max_values_per_feature=n_rows)
+    features, thresholds, losses, gradients, counts = manager._propose_fresh(
+        X, augmented
+    )
+    batch_loss = float(loss.sum())
+    batch_gradient = grad.sum(axis=0)
+    gains = candidate_gain_sweep(
+        losses, gradients, counts, batch_loss, batch_gradient,
+        float(n_rows), learning_rate, assume_counts_positive=True,
+    )
+    bound = _AdmissionBound(loss, grad, batch_loss, batch_gradient, learning_rate)
+    assert bound.certified
+    # Every batch proposes its smallest value: a single-row left side.
+    assert (counts == 1).any()
+    masks = (X[:, features] <= thresholds).astype(float)
+    return gains, bound, masks, counts, augmented
+
+
 class TestAdmissionBound:
-    """Both stages of the admission bound dominate every fresh gain."""
+    """Every stage of the admission bound holds for every fresh gain."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 100_000),
-        n_rows=st.sampled_from([2, 2, 2, 3, 4, 7, 40, 125]),
-        n_classes=st.integers(2, 25),
-        learning_rate=st.sampled_from([1e-3, 0.05, 1.0]),
-        gaussian=st.booleans(),
-    )
-    def test_bounds_dominate_fresh_gains(
-        self, seed, n_rows, n_classes, learning_rate, gaussian
-    ):
+    @given(**_FRESH_BATCHES)
+    def test_bounds_dominate_fresh_gains(self, **batch):
         """Two-row batches make Cauchy–Schwarz an equality: with a small
         learning rate the gain equals the bound in exact arithmetic and only
         the rounding margin keeps the bound above it."""
-        rng = np.random.default_rng(seed)
-        X, loss, grad = make_glm_batch(rng, n_rows, n_classes)
-        if gaussian:
-            grad = rng.normal(size=grad.shape)
-        manager = CandidateManager(n_features=3, max_values_per_feature=n_rows)
-        features, thresholds, losses, gradients, counts = manager._propose_fresh(
-            X, augment_batch(loss, grad)
-        )
-        batch_loss = float(loss.sum())
-        batch_gradient = grad.sum(axis=0)
-        gains = candidate_gain_sweep(
-            losses, gradients, counts, batch_loss, batch_gradient,
-            float(n_rows), learning_rate, assume_counts_positive=True,
-        )
-        bound = _AdmissionBound(
-            loss, grad, batch_loss, batch_gradient, learning_rate
-        )
-        assert bound.certified
-        masks = (X[:, features] <= thresholds).astype(float)
+        gains, bound, masks, counts, _ = _fresh_batch(**batch)
         assert np.all(gains <= bound.batch_bound)
         assert np.all(gains <= bound.candidate_bounds(masks, counts))
-        # Every batch proposes its smallest value: a single-row left side.
-        assert (counts == 1).any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(**_FRESH_BATCHES)
+    def test_screen_intervals_contain_fresh_gains(self, **batch):
+        """The stage-3 interval around the gain swept from BLAS sums holds
+        the gain swept from the einsum sums."""
+        gains, bound, masks, counts, augmented = _fresh_batch(**batch)
+        lower, upper = bound.gain_intervals(masks, counts, augmented)
+        assert np.all(lower <= gains)
+        assert np.all(gains <= upper)
 
     def test_overflowing_batch_is_not_certified(self):
         X, loss, grad = make_glm_batch(

@@ -21,6 +21,9 @@ from repro.evaluation.prequential import PrequentialEvaluator
 from repro.experiments.registry import make_dataset, make_model
 from repro.streams.synthetic import SEAGenerator
 from repro.telemetry import (
+    DMT_CANDIDATES_ADMITTED_TOTAL,
+    DMT_CANDIDATES_EVICTED_TOTAL,
+    DMT_CANDIDATES_SUMMED_TOTAL,
     DRIFT_DETECTED,
     TELEMETRY,
     TREE_SPLIT,
@@ -89,6 +92,37 @@ class TestBitIdenticalOnOff:
                 off = _run_summary(model_key, 3, batch_size, enabled=False)
                 on = _run_summary(model_key, 3, batch_size, enabled=True)
                 assert on == off, model_key
+
+    def test_dmt_candidate_counters_on_a_wide_stream(self):
+        """Fifty features, so the candidate stores fill and the admission
+        bound prunes: summed counts the fresh candidates the stores computed
+        exactly, admitted those they kept."""
+
+        def run(enabled):
+            TELEMETRY.reset()
+            if enabled:
+                TELEMETRY.enable()
+            stream = make_dataset("hyperplane", scale=0.05, seed=3)
+            evaluator = PrequentialEvaluator(batch_size=100)
+            result = evaluator.evaluate(
+                make_model("dmt", seed=3), stream, max_iterations=8
+            )
+            counts = [
+                TELEMETRY.registry.counter(name).value
+                for name in (
+                    DMT_CANDIDATES_SUMMED_TOTAL,
+                    DMT_CANDIDATES_ADMITTED_TOTAL,
+                    DMT_CANDIDATES_EVICTED_TOTAL,
+                )
+            ]
+            TELEMETRY.reset()
+            return result.deterministic_summary(), counts
+
+        off, _ = run(False)
+        on, (summed, admitted, evicted) = run(True)
+        assert on == off
+        assert evicted > 0
+        assert summed >= admitted > 0
 
     def test_serving_stack_unaffected(self):
         """Champion/challenger decisions are identical with telemetry on."""

@@ -22,8 +22,10 @@ from repro.core import DynamicModelTree
 from repro.core.candidates import (
     CandidateManager,
     CandidateStatistics,
+    _AdmissionBound,
     candidate_gain_sweep,
 )
+from repro.core.nodes import DMTNode
 from repro.evaluation.prequential import PrequentialEvaluator
 from repro.linear.glm import IncrementalGLM
 from repro.streams.synthetic import SEAGenerator
@@ -181,6 +183,59 @@ class TestCandidateManagerEquivalence:
         ]
         self._assert_paths_agree(*managers, batches, learning_rate)
 
+    def test_screened_admission_bit_identical(self, monkeypatch):
+        """Full stores whose einsum lies above the stage-3 work threshold:
+        6-8 features and 10-25 classes on 100-125-row batches.  A recording
+        wrapper checks that the screen ran and that its rank rule dropped
+        candidates the weakest stored gain alone would keep."""
+        seen = {"screens": 0, "rank_drops": 0}
+        screen = _AdmissionBound.screen
+
+        def recording_screen(bound, masks, counts, augmented, rivals):
+            keep = screen(bound, masks, counts, augmented, rivals)
+            _, upper = bound.gain_intervals(masks, counts, augmented)
+            seen["screens"] += 1
+            seen["rank_drops"] += int(np.sum(~keep & (upper > rivals[0])))
+            return keep
+
+        monkeypatch.setattr(_AdmissionBound, "screen", recording_screen)
+
+        @settings(max_examples=30, deadline=None)
+        @given(
+            seed=st.integers(0, 10_000),
+            replacement_rate=st.sampled_from([0.25, 0.5, 1.0]),
+            n_features=st.integers(6, 8),
+            max_candidates=st.integers(24, 40),
+            n_classes=st.integers(10, 25),
+            scaled=st.integers(1, 5),
+        )
+        def run(
+            seed, replacement_rate, n_features, max_candidates, n_classes,
+            scaled,
+        ):
+            rng = np.random.default_rng(seed)
+            batches = [
+                make_glm_batch(
+                    rng, int(rng.integers(100, 126)), n_classes,
+                    1e300 if index == scaled else 1.0, n_features,
+                )
+                for index in range(6)
+            ]
+            managers = [
+                manager_class(
+                    n_features=n_features, max_candidates=max_candidates,
+                    replacement_rate=replacement_rate,
+                )
+                for manager_class in (
+                    CandidateManager, ReferenceCandidateManager
+                )
+            ]
+            self._assert_paths_agree(*managers, batches)
+
+        run()
+        assert seen["screens"] > 0
+        assert seen["rank_drops"] > 0
+
     def test_nan_stored_gain_disables_pruning(self):
         """A newcomer paired with a NaN stored gain is admitted whatever its
         own gain, so nothing may be pruned while a stored gain is NaN.
@@ -332,6 +387,50 @@ class TestDMTEquivalence:
             assert type(node) is ReferenceDMTNode
             assert type(node.candidates) is ReferenceCandidateManager
             assert type(node.model) is ReferenceGLM
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_wide_multiclass_growing_tree_bit_identical(self, seed, monkeypatch):
+        """Six classes on eight features split on a band of feature 0, so
+        the root turns inner and both inner and leaf stores run the stage-3
+        screen.  Every node's store matches the oracle's after every batch."""
+        screens = {True: 0, False: 0}
+        leaf_flags = []
+        update_statistics = DMTNode.update_statistics
+        screen = _AdmissionBound.screen
+
+        def tracking_update(node, *args, **kwargs):
+            leaf_flags.append(node.is_leaf)
+            try:
+                return update_statistics(node, *args, **kwargs)
+            finally:
+                leaf_flags.pop()
+
+        def recording_screen(*args, **kwargs):
+            screens[leaf_flags[-1]] += 1
+            return screen(*args, **kwargs)
+
+        monkeypatch.setattr(DMTNode, "update_statistics", tracking_update)
+        monkeypatch.setattr(_AdmissionBound, "screen", recording_screen)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-3.0, 3.0, size=(6000, 8))
+        y = 3 * (np.abs(X[:, 0]) > 1.5) + np.argmax(X[:, 1:4], axis=1)
+        classes = list(range(6))
+        fast = DynamicModelTree(random_state=seed)
+        slow = ReferenceDynamicModelTree(random_state=seed)
+        for begin in range(0, len(X), 125):
+            xb, yb = X[begin : begin + 125], y[begin : begin + 125]
+            fast.partial_fit(xb, yb, classes=classes)
+            slow.partial_fit(xb, yb, classes=classes)
+            fast_nodes = fast.root.subtree_nodes()
+            slow_nodes = slow.root.subtree_nodes()
+            assert len(fast_nodes) == len(slow_nodes)
+            for fast_node, slow_node in zip(fast_nodes, slow_nodes):
+                _assert_managers_identical(
+                    fast_node.candidates, slow_node.candidates
+                )
+        assert fast.n_nodes >= 3
+        assert screens[True] > 0 and screens[False] > 0
+        np.testing.assert_array_equal(fast.predict_proba(X), slow.predict_proba(X))
 
     def test_deterministic_summary_bit_identical(self):
         """The acceptance criterion: same seeds, both paths, same summary."""
