@@ -113,8 +113,8 @@ class StreamClassifier(PersistableStateMixin, ABC):
 
     def _update_classes(
         self, y: np.ndarray, classes: np.ndarray | None
-    ) -> None:
-        """Track the set of observed class labels.
+    ) -> np.ndarray:
+        """Track the set of observed class labels; return ``class_index(y)``.
 
         Models that need a fixed class space up-front (e.g. the GLMs of the
         DMT) should pass ``classes`` on the first call to ``partial_fit``;
@@ -123,21 +123,25 @@ class StreamClassifier(PersistableStateMixin, ABC):
         known = self.classes_
         if known is not None:
             # Fast path for the common steady state: every incoming label is
-            # already known, so the sorted class array is unchanged.
-            if classes is None or classes is known:
-                pending = y
-            else:
+            # already known, so the sorted class array is unchanged and one
+            # search yields the indices.  A class array equal to classes_
+            # (the evaluator passes its own copy) adds no label either.
+            pending = y
+            if not (
+                classes is None or classes is known or np.array_equal(classes, known)
+            ):
                 pending = np.concatenate([y, np.asarray(classes).ravel()])
             positions = np.searchsorted(known, pending)
-            if np.all(positions < len(known)) and np.array_equal(
-                known[np.minimum(positions, len(known) - 1)], pending
-            ):
-                return
+            # ``take`` clips a label above every known class onto the last
+            # one, which then differs from it.
+            if np.array_equal(known.take(positions, mode="clip"), pending):
+                return positions[: len(y)]
         seen = set() if known is None else set(known.tolist())
         if classes is not None:
             seen.update(np.asarray(classes).tolist())
         seen.update(np.unique(y).tolist())
         self.classes_ = np.array(sorted(seen))
+        return self.class_index(y)
 
     @property
     def n_classes_(self) -> int:

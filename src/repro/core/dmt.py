@@ -140,7 +140,7 @@ class DynamicModelTree(StreamClassifier):
     ) -> "DynamicModelTree":
         X, y = self._validate_input(X, y)
         previously_known = self.n_classes_
-        self._update_classes(y, classes)
+        y_idx = self._update_classes(y, classes)
         if self.root is not None and self.n_classes_ > max(previously_known, 2):
             raise ValueError(
                 "New class labels appeared after the tree was initialised; "
@@ -149,7 +149,6 @@ class DynamicModelTree(StreamClassifier):
             )
         if self.root is None:
             self.root = self._make_node()
-        y_idx = self.class_index(y)
 
         if not TELEMETRY.enabled:
             self._update_recursive(self.root, X, y_idx, depth=0)
@@ -270,17 +269,28 @@ class DynamicModelTree(StreamClassifier):
             tracer._histogram(path).observe(perf_counter() - started)
 
     def _predict_proba_batch(self, X: np.ndarray) -> np.ndarray:
-        n_model_classes = self.root.model.n_classes
-        width = min(n_model_classes, self.n_classes_)
-        proba = np.zeros((len(X), self.n_classes_))
-        for leaf, rows in self.root.route_batch_groups(X):
-            leaf_proba = leaf.model.predict_proba(X[rows])
-            proba[rows, :width] = leaf_proba[:, :width]
-        # If fewer classes were observed than the model supports (binary
-        # GLM always emits two columns), renormalise over the observed
-        # classes.
+        n_classes = self.n_classes_
+        if n_classes == 1:
+            # The binary leaf GLM's column 1 - p reads 0 once p rounds to
+            # 1, so a tree that has seen one class predicts it outright.
+            return np.ones((len(X), 1))
+        root = self.root
+        if root.is_leaf and root.model.n_classes == n_classes:
+            # Every row of a one-leaf tree reaches the root, in order: its
+            # output is the batch's, without routing or a scatter.
+            proba = root.model.predict_proba(X)
+        else:
+            n_model_classes = root.model.n_classes
+            width = min(n_model_classes, n_classes)
+            proba = np.zeros((len(X), n_classes))
+            for leaf, rows in root.route_batch_groups(X):
+                leaf_proba = leaf.model.predict_proba(X[rows])
+                proba[rows, :width] = leaf_proba[:, :width]
+        # Renormalising rows that already sum to about 1 still rounds their
+        # last bit, which every served response shows, so it stays.  No row
+        # sums to 0: each holds a leaf's full softmax row (an entry of at
+        # least 1/c) or [1 - p, p].
         row_sums = proba.sum(axis=1, keepdims=True)
-        row_sums[row_sums == 0.0] = 1.0
         return proba / row_sums
 
     # ------------------------------------------------------- interpretability

@@ -126,11 +126,20 @@ class IncrementalGLM:
     # ----------------------------------------------------------- inference
     @staticmethod
     def augment(X: np.ndarray) -> np.ndarray:
-        """Append the intercept column (the layout every weight vector uses)."""
+        """Append the intercept column (the layout every weight vector uses).
+
+        The result is always a fresh C-contiguous float64 array, whatever
+        the layout of ``X``, so every product downstream sees the same
+        operands.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(1, -1)
-        return np.hstack([X, np.ones((X.shape[0], 1))])
+        n_rows, n_features = X.shape
+        X_aug = np.empty((n_rows, n_features + 1))
+        X_aug[:, :n_features] = X
+        X_aug[:, n_features] = 1.0
+        return X_aug
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Return probabilities of shape ``(n, n_classes)``."""

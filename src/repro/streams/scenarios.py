@@ -37,8 +37,8 @@ Available transforms
     so drift detectors face an accelerating alternation.
 :class:`SchemaShifter`
     Feature schema evolution: scheduled columns appear/disappear mid-stream
-    (absent cells carry a fill value; NaN fills pair with
-    :func:`repro.utils.validation.check_features` ``allow_nan=True``).
+    (absent cells carry a fill value; every model rejects a NaN fill in its
+    input validation).
 :class:`LabelDelayer`
     Label-arrival lag metadata for delayed-label prequential evaluation
     (rows pass through untouched).
@@ -578,9 +578,10 @@ class SchemaShifter(StreamTransform):
     The physical width of the stream never changes (models see a fixed
     ``n_features``); absent cells carry ``fill_value``.  The default fill is
     ``0.0`` so every model in the family keeps working; pass ``float('nan')``
-    to mark absent cells explicitly for consumers with their own imputation
-    (validate such batches with
-    :func:`repro.utils.validation.check_features` ``allow_nan=True``).
+    to mark absent cells explicitly for consumers with their own imputation.
+    No model of the package accepts such batches: each one's input
+    validation (:func:`repro.utils.validation.check_features`) rejects NaN
+    with a ``ValueError``.
     """
 
     def __init__(

@@ -215,7 +215,7 @@ class FIMTDDClassifier(StreamClassifier):
     ) -> "FIMTDDClassifier":
         X, y = self._validate_input(X, y)
         previously_known = self.n_classes_
-        self._update_classes(y, classes)
+        class_indices = self._update_classes(y, classes)
         if self.root is not None and self.n_classes_ > max(previously_known, 2):
             raise ValueError(
                 "New class labels appeared after the tree was initialised; "
@@ -223,9 +223,7 @@ class FIMTDDClassifier(StreamClassifier):
             )
         if self.root is None:
             self.root = self._new_leaf(depth=0)
-        rows = zip(
-            IncrementalGLM.augment(X), X.tolist(), self.class_index(y).tolist()
-        )
+        rows = zip(IncrementalGLM.augment(X), X.tolist(), class_indices.tolist())
         for x_aug, x, y_idx in rows:
             self._learn_one(x_aug, x, y_idx)
         return self
@@ -360,6 +358,10 @@ class FIMTDDClassifier(StreamClassifier):
         X, _ = self._validate_input(X)
         if self.root is None or self.classes_ is None:
             raise RuntimeError("predict_proba() called before partial_fit().")
+        if self.n_classes_ == 1:
+            # As in the DMT: the binary leaf GLM's column 1 - p reads 0 once
+            # p rounds to 1, so a tree that has seen one class predicts it.
+            return np.ones((len(X), 1))
         proba = np.zeros((len(X), self.n_classes_))
         # One partition per split node, one model evaluation per leaf.
         stack: list[tuple[FIMTLeaf | FIMTSplitNode, np.ndarray]] = [
@@ -380,8 +382,9 @@ class FIMTDDClassifier(StreamClassifier):
                 continue
             leaf_proba = node.model.predict_proba(X[rows])
             proba[rows] = leaf_proba[:, : self.n_classes_]
+        # Every row holds a leaf's full softmax row or [1 - p, p], so none
+        # sums to 0.
         row_sums = proba.sum(axis=1, keepdims=True)
-        row_sums[row_sums == 0.0] = 1.0
         return proba / row_sums
 
     # ------------------------------------------------------- interpretability

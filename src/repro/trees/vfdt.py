@@ -132,10 +132,10 @@ class HoeffdingTreeClassifier(StreamClassifier):
         self, X: np.ndarray, y: np.ndarray, classes: np.ndarray | None = None
     ) -> "HoeffdingTreeClassifier":
         X, y = self._validate_input(X, y)
-        self._update_classes(y, classes)
+        y_idx = self._update_classes(y, classes)
         if self.root is None:
             self.root = self._new_leaf(depth=0)
-        self._partial_fit_vectorized(X, self.class_index(y))
+        self._partial_fit_vectorized(X, y_idx)
         return self
 
     # ---------------------------------------------------- vectorized fitting

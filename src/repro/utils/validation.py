@@ -8,7 +8,15 @@ import numpy as np
 
 
 def check_features(X: np.ndarray) -> np.ndarray:
-    """Coerce ``X`` to a 2-D float array and reject invalid values."""
+    """Coerce ``X`` to a 2-D float array and reject invalid values.
+
+    NaN and infinite values are found in one elementwise ``isfinite`` pass,
+    which never warns.  There is no screen on ``X.sum()`` ahead of it:
+    finite values whose sum overflows need an ``errstate`` guard, and the
+    guarded sum costs more than the pass it would skip (measured from 1 to
+    2,048 rows of 33 features and on 120 rows of 966).  A 2-D float64 array
+    is returned as is, without a copy.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(1, -1)
@@ -16,12 +24,7 @@ def check_features(X: np.ndarray) -> np.ndarray:
         raise ValueError(f"X must be 2-dimensional, got shape {X.shape}.")
     if X.shape[0] == 0 or X.shape[1] == 0:
         raise ValueError(f"X must be non-empty, got shape {X.shape}.")
-    # Cheap screen first: a finite sum implies every element is finite
-    # (any NaN propagates, any infinity yields an infinite or NaN sum).
-    # Only a finite-overflow false alarm pays for the elementwise check.
-    with np.errstate(over="ignore"):
-        screen = X.sum()
-    if not np.isfinite(screen) and not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("X contains NaN or infinite values.")
     return X
 

@@ -33,7 +33,7 @@ from repro.drift.adwin import ADWIN
 from repro.ensembles.adaptive_random_forest import AdaptiveRandomForestClassifier
 from repro.ensembles.bagging import OzaBaggingClassifier
 from repro.ensembles.leveraging_bagging import LeveragingBaggingClassifier
-from repro.linear.glm import IncrementalGLM
+from repro.linear.glm import IncrementalGLM, _sigmoid, _softmax
 from repro.linear.naive_bayes import GaussianNaiveBayes
 from repro.telemetry import (
     DMT_CANDIDATES,
@@ -351,6 +351,37 @@ def dmt_predict_proba_per_row(model, X):
         leaf = model.root.sorted_leaf(x)
         leaf_proba = leaf.model.predict_proba(x.reshape(1, -1))[0]
         proba[row, :width] = leaf_proba[:width]
+    row_sums = proba.sum(axis=1, keepdims=True)
+    row_sums[row_sums == 0.0] = 1.0
+    return proba / row_sums
+
+
+def glm_predict_proba_stacked(glm, X):
+    """``glm.predict_proba(X)`` built with ``np.hstack`` and ``np.column_stack``."""
+    X_aug = np.hstack([X, np.ones((X.shape[0], 1))])
+    if glm.n_classes == 2:
+        p_one = _sigmoid(X_aug @ glm.weights)
+        return np.column_stack([1.0 - p_one, p_one])
+    return _softmax(X_aug @ glm.weights.T)
+
+
+def dmt_predict_proba_scatter(model, X):
+    """``model.predict_proba(X)`` through a zero-filled array, for every batch.
+
+    Routes with ``route_batch_groups``, scores every leaf's rows with
+    :func:`glm_predict_proba_stacked`, scatters them into the zero-filled
+    ``(n, n_classes_)`` array and renormalises, even when every row reaches
+    one leaf.
+    """
+    X, _ = model._validate_input(X)
+    if model.root is None or model.classes_ is None:
+        raise RuntimeError("predict_proba() called before partial_fit().")
+    n_model_classes = model.root.model.n_classes
+    width = min(n_model_classes, model.n_classes_)
+    proba = np.zeros((len(X), model.n_classes_))
+    for leaf, rows in model.root.route_batch_groups(X):
+        leaf_proba = glm_predict_proba_stacked(leaf.model, X[rows])
+        proba[rows, :width] = leaf_proba[:, :width]
     row_sums = proba.sum(axis=1, keepdims=True)
     row_sums[row_sums == 0.0] = 1.0
     return proba / row_sums

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.base import ComplexityReport, StreamClassifier
+from repro.core.dmt import DynamicModelTree
+from repro.trees.fimtdd import FIMTDDClassifier
+from repro.trees.vfdt import HoeffdingTreeClassifier
 
 
 class _DummyClassifier(StreamClassifier):
@@ -92,3 +95,58 @@ class TestStreamClassifierBase:
         model = _DummyClassifier()
         with pytest.raises(RuntimeError):
             model.class_index(np.array([1]))
+
+    def test_update_classes_returns_class_indices_on_every_path(self):
+        model = _DummyClassifier()
+        np.testing.assert_array_equal(
+            model._update_classes(np.array([5, 9]), [5, 7, 9]), [0, 2]
+        )
+        known = model.classes_
+        # Steady state: no class array, classes_ itself, or an equal copy.
+        for classes in (None, known, known.copy(), [5, 7, 9]):
+            positions = model._update_classes(np.array([9, 7, 5, 9]), classes)
+            assert model.classes_ is known
+            np.testing.assert_array_equal(positions, [2, 1, 0, 2])
+        # A label above every known class, then one only the class array adds.
+        np.testing.assert_array_equal(
+            model._update_classes(np.array([9, 11]), None), [2, 3]
+        )
+        assert model.classes_.tolist() == [5, 7, 9, 11]
+        np.testing.assert_array_equal(
+            model._update_classes(np.array([11]), [1, 5]), [4]
+        )
+        assert model.classes_.tolist() == [1, 5, 7, 9, 11]
+
+
+class TestOneLabelLookup:
+    """Tree models look each training batch's labels up once."""
+
+    @pytest.mark.parametrize(
+        "model_class", [DynamicModelTree, FIMTDDClassifier, HoeffdingTreeClassifier]
+    )
+    def test_classes_keep_their_identity_in_the_steady_state(
+        self, model_class, monkeypatch
+    ):
+        X = np.random.default_rng(0).uniform(size=(250, 3))
+        y = (X[:, 0] > 0.5).astype(int)
+        model = model_class()
+        model.partial_fit(X[:50], y[:50], classes=np.array([0, 1]))
+        known = model.classes_
+        # A second search of the labels would go through class_index.
+        monkeypatch.setattr(
+            model, "class_index", lambda labels: pytest.fail("second label lookup")
+        )
+        # No class array, classes_ itself, an equal copy (the evaluator's
+        # case) and an equal list.
+        for start, classes in zip(
+            range(50, 250, 50), (None, known, np.array([0, 1]), [0, 1])
+        ):
+            model.partial_fit(X[start : start + 50], y[start : start + 50], classes)
+            assert model.classes_ is known
+
+    def test_a_late_label_grows_the_hoeffding_tree_classes(self):
+        model = HoeffdingTreeClassifier()
+        model.partial_fit(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+        model.partial_fit(np.ones((2, 2)), np.array([2, 1]))
+        assert model.classes_.tolist() == [0, 1, 2]
+        assert model.predict_proba(np.ones((1, 2))).shape == (1, 3)

@@ -1,7 +1,9 @@
 """Additional tests for the instance-incremental GLM training path."""
 
 import numpy as np
+import pytest
 
+from repro.experiments.registry import make_model
 from repro.linear.glm import IncrementalGLM
 from tests.conftest import make_linear_binary
 
@@ -69,3 +71,26 @@ class TestFitIncremental:
         model = IncrementalGLM(n_features=3, n_classes=2, rng=0)
         model.fit_incremental(np.array([0.1, 0.2, 0.3]), np.array([1]))
         assert np.all(np.isfinite(model.weights))
+
+
+@pytest.mark.parametrize("name", ["dmt", "fimtdd"])
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_training_does_not_depend_on_the_batch_layout(name, n_classes):
+    """The intercept augment always copies into a C-ordered array, so a
+    Fortran-ordered batch trains the linear models bit for bit as its
+    C-ordered copy does (the 1-D ``x @ w`` of a strided row could round
+    differently)."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(1000, 6))
+    y = ((X[:, 0] + X[:, 1] ** 2 > 1).astype(int) + (X[:, 2] > 1)) % n_classes
+    classes = list(range(n_classes))
+    c_ordered, f_ordered = make_model(name, seed=1), make_model(name, seed=1)
+    for start in range(0, len(X), 100):
+        batch = X[start : start + 100]
+        c_ordered.partial_fit(batch, y[start : start + 100], classes=classes)
+        f_ordered.partial_fit(
+            np.asfortranarray(batch), y[start : start + 100], classes=classes
+        )
+    assert np.array_equal(
+        c_ordered.predict_proba(X[:300]), f_ordered.predict_proba(X[:300])
+    )

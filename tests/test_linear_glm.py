@@ -96,6 +96,26 @@ class TestInference:
         proba = model.predict_proba(np.array([0.1, 0.2, 0.3]))
         assert proba.shape == (1, 2)
 
+    @pytest.mark.parametrize(
+        "layout", ["C", "Fortran", "column slice", "1-D", "integer"]
+    )
+    def test_augment_is_a_fresh_c_contiguous_float_array(self, layout):
+        X = np.arange(12, dtype=float).reshape(3, 4)
+        batch = {
+            "C": X,
+            "Fortran": np.asfortranarray(X),
+            "column slice": np.hstack([X, X])[:, ::2],
+            "1-D": X[0],
+            "integer": X.astype(np.int64),
+        }[layout]
+        X_aug = IncrementalGLM.augment(batch)
+        assert X_aug.dtype == np.float64 and X_aug.flags.c_contiguous
+        assert not np.shares_memory(X_aug, batch)
+        rows = np.atleast_2d(batch).astype(float)
+        np.testing.assert_array_equal(
+            X_aug, np.hstack([rows, np.ones((len(rows), 1))])
+        )
+
 
 class TestLossAndGradient:
     def test_nll_is_nonnegative(self):

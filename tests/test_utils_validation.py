@@ -1,5 +1,7 @@
 """Tests for the validation helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,35 @@ class TestCheckFeatures:
     def test_rejects_inf(self):
         with pytest.raises(ValueError, match="NaN or infinite"):
             check_features(np.array([[1.0, np.inf]]))
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_accepts_finite_values_whose_sum_overflows(self, value):
+        X = np.array([[value, value]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_features(X) is X
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layout", ["1-D row", "Fortran", "strided view"])
+    def test_rejects_each_non_finite_value_in_every_layout(self, bad, layout):
+        X = np.arange(24, dtype=float).reshape(6, 4)
+        X[3, 2] = bad
+        if layout == "1-D row":
+            X = X[3]
+        elif layout == "Fortran":
+            X = np.asfortranarray(X)
+        else:
+            X = X[1::2, ::2]
+            assert not X.flags.c_contiguous and not X.flags.f_contiguous
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                check_features(X)
+
+    def test_returns_2d_float64_input_without_a_copy(self):
+        C = np.ones((3, 2))
+        for X in (C, np.asfortranarray(C), np.ones((4, 4))[:, 1:3]):
+            assert check_features(X) is X
 
 
 class TestCheckLabels:
