@@ -112,13 +112,20 @@ class StreamClassifier(PersistableStateMixin, ABC):
         return X, y
 
     def _update_classes(
-        self, y: np.ndarray, classes: np.ndarray | None
+        self,
+        y: np.ndarray,
+        classes: np.ndarray | None,
+        max_classes: int | None = None,
     ) -> np.ndarray:
         """Track the set of observed class labels; return ``class_index(y)``.
 
         Models that need a fixed class space up-front (e.g. the GLMs of the
         DMT) should pass ``classes`` on the first call to ``partial_fit``;
-        otherwise the class set grows as new labels are observed.
+        otherwise the class set grows as new labels are observed.  Such a
+        model passes the width it was built with as ``max_classes``: a batch
+        that would grow the class set beyond it raises ``ValueError`` before
+        ``classes_`` changes, so the rejected batch leaves the model as it
+        was.
         """
         known = self.classes_
         if known is not None:
@@ -140,6 +147,12 @@ class StreamClassifier(PersistableStateMixin, ABC):
         if classes is not None:
             seen.update(np.asarray(classes).tolist())
         seen.update(np.unique(y).tolist())
+        if max_classes is not None and len(seen) > max_classes:
+            raise ValueError(
+                "New class labels appeared after the model was initialised; "
+                "pass the full class set via `classes` on the first call to "
+                "partial_fit()."
+            )
         self.classes_ = np.array(sorted(seen))
         return self.class_index(y)
 

@@ -137,6 +137,9 @@ _MAX_BOUND_SCALE = 2.0**1000
 #: Multiply-adds per block of the stage-3 product, and the least einsum work
 #: the screen runs for (both measured; see the module docstring).
 _SCREEN_BLOCK = 2**18
+#: Approximated left and right child losses (7) of a set of candidates, as
+#: one sweep of them returns them (:func:`candidate_child_losses`).
+ChildLosses = tuple[np.ndarray, np.ndarray]
 
 
 @register
@@ -193,6 +196,19 @@ class CandidateStatistics:
         """
         if reference_loss is None:
             reference_loss = node_loss
+        left_loss, right_loss = self.child_losses(
+            node_loss, node_gradient, node_count, learning_rate
+        )
+        return split_gain(reference_loss, left_loss, right_loss)
+
+    def child_losses(
+        self,
+        node_loss: float,
+        node_gradient: np.ndarray,
+        node_count: float,
+        learning_rate: float,
+    ) -> tuple[float, float]:
+        """Approximated losses (7) of the left and the right child."""
         left_loss = approximate_candidate_loss(
             self.loss, self.gradient, self.count, learning_rate
         )
@@ -207,7 +223,7 @@ class CandidateStatistics:
             node_count - self.count,
             learning_rate,
         )
-        return split_gain(reference_loss, left_loss, right_loss)
+        return left_loss, right_loss
 
 
 def augment_batch(
@@ -228,7 +244,7 @@ def augment_batch(
     )
 
 
-def candidate_gain_sweep(
+def candidate_child_losses(
     losses: np.ndarray,
     gradients: np.ndarray,
     counts: np.ndarray,
@@ -236,22 +252,19 @@ def candidate_gain_sweep(
     node_gradient: np.ndarray,
     node_count: float,
     learning_rate: float,
-    reference_loss: float | None = None,
     assume_counts_positive: bool = False,
-) -> np.ndarray:
-    """Gains of all candidates in one sweep -- equations (3), (4) and (7).
+) -> ChildLosses:
+    """Approximated left and right child losses (7) of all candidates at once.
 
-    Bit-identical to calling :meth:`CandidateStatistics.gain` per candidate:
+    Bit-identical to :meth:`CandidateStatistics.child_losses` per candidate:
     the squared gradient norms use the same einsum accumulation order as the
     scalar reference, everything else is elementwise.
     ``assume_counts_positive`` skips the empty-subset guard on the left
     child; the candidate store guarantees it (candidates are only admitted
     with observations and counts never decrease).
     """
-    if reference_loss is None:
-        reference_loss = node_loss
     if len(losses) == 0:
-        return np.zeros(0)
+        return np.zeros(0), np.zeros(0)
     left_norms = np.einsum("kp,kp->k", gradients, gradients)
     right_gradients = node_gradient - gradients
     right_norms = np.einsum("kp,kp->k", right_gradients, right_gradients)
@@ -288,6 +301,31 @@ def candidate_gain_sweep(
             ),
             right_subset_losses,
         )
+    return left_losses, right_losses
+
+
+def candidate_gain_sweep(
+    losses: np.ndarray,
+    gradients: np.ndarray,
+    counts: np.ndarray,
+    node_loss: float,
+    node_gradient: np.ndarray,
+    node_count: float,
+    learning_rate: float,
+    reference_loss: float | None = None,
+    assume_counts_positive: bool = False,
+) -> np.ndarray:
+    """Gains of all candidates in one sweep -- equations (3), (4) and (7).
+
+    ``(reference_loss − left) − right`` over :func:`candidate_child_losses`,
+    bit-identical to calling :meth:`CandidateStatistics.gain` per candidate.
+    """
+    if reference_loss is None:
+        reference_loss = node_loss
+    left_losses, right_losses = candidate_child_losses(
+        losses, gradients, counts, node_loss, node_gradient, node_count,
+        learning_rate, assume_counts_positive,
+    )
     return reference_loss - left_losses - right_losses
 
 
@@ -402,6 +440,16 @@ class CandidateManager:
         single batch.  If a batch contains more unique values, evenly spaced
         quantiles are used instead; this mirrors how practical incremental
         trees bound the candidate space for continuous features.
+
+    One sweep per batch.  The stored candidates' child losses (7) are swept
+    once per batch (:meth:`child_losses`), after :meth:`update_stored` has
+    accumulated it.  The caller hands that sweep to :meth:`consider_new`,
+    whose admission loop reads gain (3) from it, and then to
+    :meth:`best_index` for the node's split check, which applies the node's
+    own reference: its loss for gain (3), its subtree's leaf loss for gain
+    (4).  Only a batch that admits or evicts a candidate changes the store,
+    and :meth:`consider_new` says so, so the caller sweeps it again then.
+    No sweep is kept on the store.
     """
 
     #: Pure caches skipped by the persistence encoder and rebuilt by
@@ -506,11 +554,11 @@ class CandidateManager:
 
     @property
     def candidates(self) -> list[CandidateStatistics]:
-        return [self._materialize(index) for index in range(len(self))]
+        return [self.candidate(index) for index in range(len(self))]
 
     def get(self, key: tuple[int, float]) -> CandidateStatistics | None:
         index = self._key_index.get((int(key[0]), float(key[1])))
-        return None if index is None else self._materialize(index)
+        return None if index is None else self.candidate(index)
 
     def clear(self) -> None:
         width = self._gradients.shape[1]
@@ -521,7 +569,7 @@ class CandidateManager:
         self._gradients = np.zeros((0, width), dtype=float)
         self._rebuild_key_index()
 
-    def _materialize(self, index: int) -> CandidateStatistics:
+    def candidate(self, index: int) -> CandidateStatistics:
         """Per-candidate dataclass view of one row of the store (a copy)."""
         return CandidateStatistics(
             feature=int(self._features[index]),
@@ -650,16 +698,25 @@ class CandidateManager:
         node_gradient: np.ndarray,
         node_count: float,
         learning_rate: float,
-        reference_loss: float | None = None,
         augmented: np.ndarray | None = None,
-    ) -> None:
+        batch_loss: float | None = None,
+        batch_gradient: np.ndarray | None = None,
+        child_losses: ChildLosses | None = None,
+    ) -> bool:
         """Propose new candidates from the current batch and admit the best.
 
         New candidates are scored on the current batch only (their statistics
         start from this batch, as described in Section V-D).  They fill free
         slots first; once the store is full, a newcomer only evicts the
-        weakest stored candidate when its batch gain exceeds the gain that
-        candidate has accumulated so far, bounded by the replacement budget.
+        weakest stored candidate when its batch gain exceeds the gain (3)
+        that candidate has accumulated so far, bounded by the replacement
+        budget.
+
+        ``batch_loss`` and ``batch_gradient`` are the batch's summed loss and
+        gradient, and ``child_losses`` the store's sweep after
+        :meth:`update_stored` (:meth:`child_losses`); each is computed here
+        when not given.  Returns whether the store changed, which makes that
+        sweep stale.
         """
         X = np.asarray(X, dtype=float)
         per_sample_loss = np.asarray(per_sample_loss, dtype=float)
@@ -667,22 +724,26 @@ class CandidateManager:
         self._ensure_width(per_sample_gradient.shape[1])
         if augmented is None:
             augmented = augment_batch(per_sample_loss, per_sample_gradient)
-        batch_loss = float(per_sample_loss.sum())
-        batch_gradient = per_sample_gradient.sum(axis=0)
+        if batch_loss is None:
+            batch_loss = float(per_sample_loss.sum())
+        if batch_gradient is None:
+            batch_gradient = per_sample_gradient.sum(axis=0)
         batch_count = float(len(per_sample_loss))
         budget = int(np.floor(self.replacement_rate * self.max_candidates))
 
-        stored_gains = stored_order = admission = rivals = None
+        if child_losses is None:
+            child_losses = self.child_losses(
+                node_loss, node_gradient, node_count, learning_rate
+            )
+        left_losses, right_losses = child_losses
+        stored_gains = node_loss - left_losses - right_losses
+        stored_order = np.argsort(stored_gains, kind="stable")
+        admission = rivals = None
         if len(self._features) >= self.max_candidates:
             # Full store: skip what provably cannot be admitted (the
             # admission bound of the module docstring).
             if budget == 0:
-                return
-            stored_gains = self._stored_gains(
-                node_loss, node_gradient, node_count, learning_rate,
-                reference_loss,
-            )
-            stored_order = np.argsort(stored_gains, kind="stable")
+                return False
             if not np.isnan(stored_gains).any():
                 admission = _AdmissionBound(
                     per_sample_loss, per_sample_gradient, batch_loss,
@@ -693,11 +754,11 @@ class CandidateManager:
                 if not admission.certified:
                     admission = None
                 elif admission.batch_bound <= rivals[0]:
-                    return
+                    return False
 
         fresh = self._propose_fresh(X, augmented, admission, rivals)
         if fresh is None:
-            return
+            return False
         fresh_features, fresh_thresholds, fresh_losses, fresh_gradients, fresh_counts = fresh
         if TELEMETRY.enabled:
             self._telemetry_counters()[0].inc(len(fresh_features))
@@ -722,12 +783,6 @@ class CandidateManager:
 
         evicted: list[int] = []
         if len(remaining) and budget > 0 and len(self._features):
-            if stored_gains is None:
-                stored_gains = self._stored_gains(
-                    node_loss, node_gradient, node_count, learning_rate,
-                    reference_loss,
-                )
-                stored_order = np.argsort(stored_gains, kind="stable")
             for newcomer, weakest in zip(remaining, stored_order):
                 if len(evicted) >= budget:
                     break
@@ -771,6 +826,7 @@ class CandidateManager:
                 admitted_total.inc(len(admitted))
                 if evicted:
                     evicted_total.inc(len(evicted))
+        return bool(evicted or admitted)
 
     def _propose_fresh(
         self,
@@ -836,16 +892,15 @@ class CandidateManager:
             counts.astype(float),
         )
 
-    def _stored_gains(
+    def child_losses(
         self,
         node_loss: float,
         node_gradient: np.ndarray,
         node_count: float,
         learning_rate: float,
-        reference_loss: float | None,
-    ) -> np.ndarray:
-        """Gains of every stored candidate in one sweep."""
-        return candidate_gain_sweep(
+    ) -> ChildLosses:
+        """Left and right child losses (7) of every stored candidate: the sweep."""
+        return candidate_child_losses(
             self._losses,
             self._gradients,
             self._counts,
@@ -853,30 +908,28 @@ class CandidateManager:
             node_gradient=node_gradient,
             node_count=node_count,
             learning_rate=learning_rate,
-            reference_loss=reference_loss,
             assume_counts_positive=True,
         )
 
     # ---------------------------------------------------------------- query
-    def best_candidate(
+    def best_index(
         self,
-        node_loss: float,
-        node_gradient: np.ndarray,
-        node_count: float,
-        learning_rate: float,
-        reference_loss: float | None = None,
+        reference_loss: float,
+        child_losses: ChildLosses,
         exclude: tuple[int, float] | None = None,
-    ) -> tuple[CandidateStatistics | None, float]:
-        """Return the stored candidate with the highest gain and its gain.
+    ) -> tuple[int | None, float]:
+        """Index of the stored candidate with the highest gain, and the gain.
 
-        Ties keep the first-inserted candidate, matching the strict ``>``
-        comparison of the per-candidate reference loop.
+        ``child_losses`` is the store's current sweep (:meth:`child_losses`).
+        Each gain is ``(reference_loss − left) − right``, the operation order
+        of :func:`candidate_gain_sweep`.  Ties keep the first-inserted
+        candidate, matching the strict ``>`` comparison of the per-candidate
+        reference loop.
         """
         if not len(self._features):
             return None, -np.inf
-        gains = self._stored_gains(
-            node_loss, node_gradient, node_count, learning_rate, reference_loss
-        )
+        left_losses, right_losses = child_losses
+        gains = reference_loss - left_losses - right_losses
         if exclude is not None:
             index = self._key_index.get((int(exclude[0]), float(exclude[1])))
             if index is not None:
@@ -891,4 +944,27 @@ class CandidateManager:
             best = int(np.argmax(gains))
         if gains[best] == -np.inf:
             return None, -np.inf
-        return self._materialize(best), float(gains[best])
+        return best, float(gains[best])
+
+    def best_candidate(
+        self,
+        node_loss: float,
+        node_gradient: np.ndarray,
+        node_count: float,
+        learning_rate: float,
+        reference_loss: float | None = None,
+        exclude: tuple[int, float] | None = None,
+    ) -> tuple[CandidateStatistics | None, float]:
+        """Return the stored candidate with the highest gain and its gain.
+
+        Sweeps the store and asks :meth:`best_index`; ``reference_loss``
+        defaults to ``node_loss`` (gain (3)).
+        """
+        if reference_loss is None:
+            reference_loss = node_loss
+        best, gain = self.best_index(
+            reference_loss,
+            self.child_losses(node_loss, node_gradient, node_count, learning_rate),
+            exclude,
+        )
+        return (None if best is None else self.candidate(best)), gain

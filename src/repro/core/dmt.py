@@ -20,6 +20,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.base import ComplexityReport, StreamClassifier
+from repro.core.candidates import ChildLosses
 from repro.core.nodes import DMTNode
 from repro.linear.glm import IncrementalGLM
 from repro.telemetry import (
@@ -139,14 +140,11 @@ class DynamicModelTree(StreamClassifier):
         self, X: np.ndarray, y: np.ndarray, classes: np.ndarray | None = None
     ) -> "DynamicModelTree":
         X, y = self._validate_input(X, y)
-        previously_known = self.n_classes_
-        y_idx = self._update_classes(y, classes)
-        if self.root is not None and self.n_classes_ > max(previously_known, 2):
-            raise ValueError(
-                "New class labels appeared after the tree was initialised; "
-                "pass the full class set via `classes` on the first call to "
-                "partial_fit()."
-            )
+        # The root's models are built for max(n_classes_, 2) classes.
+        y_idx = self._update_classes(
+            y, classes,
+            max_classes=None if self.root is None else max(self.n_classes_, 2),
+        )
         if self.root is None:
             self.root = self._make_node()
 
@@ -172,29 +170,36 @@ class DynamicModelTree(StreamClassifier):
         self, node: DMTNode, X: np.ndarray, y_idx: np.ndarray, depth: int
     ) -> None:
         """Update statistics top-down, then restructure bottom-up."""
-        node.update_statistics(X, y_idx, self.learning_rate)
+        child_losses = node.update_statistics(X, y_idx, self.learning_rate)
 
-        if not node.is_leaf:
-            mask = node.route_mask(X)
-            if np.any(mask):
-                self._update_recursive(node.left, X[mask], y_idx[mask], depth + 1)
-            if np.any(~mask):
-                self._update_recursive(node.right, X[~mask], y_idx[~mask], depth + 1)
-
-        # Structural check after the children were processed => bottom-up.
         if node.is_leaf:
-            self._try_split_leaf(node, depth)
-        else:
-            self._try_restructure_inner(node)
+            self._try_split_leaf(node, depth, child_losses)
+            return
+        mask = node.route_mask(X)
+        if np.any(mask):
+            self._update_recursive(node.left, X[mask], y_idx[mask], depth + 1)
+        if np.any(~mask):
+            self._update_recursive(node.right, X[~mask], y_idx[~mask], depth + 1)
+        # Structural check after the children were processed => bottom-up,
+        # on counts that include the children's own restructuring.
+        node.refresh_counts()
+        self._try_restructure_inner(node, child_losses)
 
-    def _try_split_leaf(self, node: DMTNode, depth: int) -> None:
-        """Split a leaf when the best candidate's gain (3) clears the threshold."""
+    def _try_split_leaf(
+        self, node: DMTNode, depth: int, child_losses: ChildLosses
+    ) -> None:
+        """Split a leaf when the best candidate's gain (3) clears the threshold.
+
+        ``child_losses`` is the sweep :meth:`DMTNode.update_statistics`
+        returned for this batch.
+        """
         if self.max_depth is not None and depth >= self.max_depth:
             return
-        candidate, gain = node.best_split(self.learning_rate)
-        if candidate is None:
+        best, gain = node.candidates.best_index(node.loss, child_losses)
+        if best is None:
             return
         if gain >= node.leaf_split_threshold(self.epsilon):
+            candidate = node.candidates.candidate(best)
             node.apply_split(candidate)
             if TELEMETRY.enabled:
                 TELEMETRY.emit(
@@ -206,19 +211,25 @@ class DynamicModelTree(StreamClassifier):
                 )
                 TELEMETRY.counter(DMT_SPLITS_TOTAL).inc()
 
-    def _try_restructure_inner(self, node: DMTNode) -> None:
-        """Apply the inner-node checks of Figure 2(b): gains (4) and (5)."""
+    def _try_restructure_inner(
+        self, node: DMTNode, child_losses: ChildLosses
+    ) -> None:
+        """Apply the inner-node checks of Figure 2(b): gains (4) and (5).
+
+        ``child_losses`` is the sweep :meth:`DMTNode.update_statistics`
+        returned for this batch.
+        """
         subtree_loss = node.subtree_leaf_loss()
 
-        candidate, resplit_gain = node.best_split(
-            self.learning_rate, reference_loss=subtree_loss
+        best, resplit_gain = node.candidates.best_index(
+            subtree_loss, child_losses, exclude=node.split_key
         )
         resplit_ok = (
-            candidate is not None
+            best is not None
             and resplit_gain >= node.resplit_threshold(self.epsilon)
         )
 
-        to_leaf_gain = node.prune_to_leaf_gain()
+        to_leaf_gain = node.prune_to_leaf_gain(subtree_loss)
         prune_ok = to_leaf_gain >= node.prune_threshold(self.epsilon)
 
         if prune_ok and (not resplit_ok or to_leaf_gain >= resplit_gain):
@@ -228,6 +239,7 @@ class DynamicModelTree(StreamClassifier):
                 TELEMETRY.emit(DMT_PRUNE, gain=float(to_leaf_gain))
                 TELEMETRY.counter(DMT_PRUNES_TOTAL).inc()
         elif resplit_ok:
+            candidate = node.candidates.candidate(best)
             node.apply_split(candidate)
             if TELEMETRY.enabled:
                 TELEMETRY.emit(
@@ -275,17 +287,16 @@ class DynamicModelTree(StreamClassifier):
             # 1, so a tree that has seen one class predicts it outright.
             return np.ones((len(X), 1))
         root = self.root
-        if root.is_leaf and root.model.n_classes == n_classes:
+        if root.is_leaf:
             # Every row of a one-leaf tree reaches the root, in order: its
             # output is the batch's, without routing or a scatter.
             proba = root.model.predict_proba(X)
         else:
-            n_model_classes = root.model.n_classes
-            width = min(n_model_classes, n_classes)
-            proba = np.zeros((len(X), n_classes))
+            # Every leaf model has n_classes columns: partial_fit rejects a
+            # class beyond the width the root was built with.
+            proba = np.empty((len(X), n_classes))
             for leaf, rows in root.route_batch_groups(X):
-                leaf_proba = leaf.model.predict_proba(X[rows])
-                proba[rows, :width] = leaf_proba[:, :width]
+                proba[rows] = leaf.model.predict_proba(X[rows])
         # Renormalising rows that already sum to about 1 still rounds their
         # last bit, which every served response shows, so it stays.  No row
         # sums to 0: each holds a leaf's full softmax row (an entry of at
@@ -295,42 +306,42 @@ class DynamicModelTree(StreamClassifier):
 
     # ------------------------------------------------------- interpretability
     def complexity(self) -> ComplexityReport:
-        """Complexity under the paper's counting rules (Section VI-D2)."""
-        if self.root is None:
+        """Complexity under the paper's counting rules (Section VI-D2).
+
+        Reads the root's subtree counts (:class:`DMTNode`), without a walk.
+        """
+        root = self.root
+        if root is None:
             return ComplexityReport(n_splits=0, n_parameters=0)
-        nodes = self.root.subtree_nodes()
-        leaves = [node for node in nodes if node.is_leaf]
-        inner = [node for node in nodes if not node.is_leaf]
+        n_inner, n_leaves = root.n_inner, root.n_leaves
         n_classes = max(self.n_classes_, 2)
         # Splits: one per inner node; a linear leaf adds 1 (binary) or c
         # (multiclass) further splits.
         leaf_split_contrib = 1 if n_classes == 2 else n_classes
-        n_splits = len(inner) + leaf_split_contrib * len(leaves)
         # Parameters: one per inner node (the split value) plus m weights per
         # class of every leaf model.
         per_leaf_params = (
             self.n_features_ if n_classes == 2 else self.n_features_ * n_classes
         )
-        n_parameters = len(inner) + per_leaf_params * len(leaves)
         return ComplexityReport(
-            n_splits=n_splits,
-            n_parameters=n_parameters,
-            n_nodes=len(nodes),
-            n_leaves=len(leaves),
-            depth=self.root.depth(),
+            n_splits=n_inner + leaf_split_contrib * n_leaves,
+            n_parameters=n_inner + per_leaf_params * n_leaves,
+            n_nodes=n_inner + n_leaves,
+            n_leaves=n_leaves,
+            depth=root.height,
         )
 
     @property
     def n_nodes(self) -> int:
-        return 0 if self.root is None else len(self.root.subtree_nodes())
+        return 0 if self.root is None else self.root.n_inner + self.root.n_leaves
 
     @property
     def n_leaves(self) -> int:
-        return 0 if self.root is None else len(self.root.subtree_leaves())
+        return 0 if self.root is None else self.root.n_leaves
 
     @property
     def depth(self) -> int:
-        return 0 if self.root is None else self.root.depth()
+        return 0 if self.root is None else self.root.height
 
     def leaf_feature_weights(self) -> list[dict]:
         """Per-leaf linear feature weights for local explanations.

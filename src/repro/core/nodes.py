@@ -10,11 +10,14 @@ gain (3); inner nodes check the re-split gain (4) and the prune-to-leaf gain
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.core.candidates import (
     CandidateManager,
     CandidateStatistics,
+    ChildLosses,
     augment_batch,
 )
 from repro.core.gains import (
@@ -27,6 +30,12 @@ from repro.linear.glm import IncrementalGLM
 from repro.persistence.registry import register
 
 
+@lru_cache(maxsize=64)
+def _leaf_split_threshold(k: int, epsilon: float) -> float:
+    """Equation (11) for a leaf, which depends only on ``k`` and ``ε``."""
+    return aic_split_threshold(k, k, k, epsilon)
+
+
 @register
 class DMTNode:
     """One node of a Dynamic Model Tree.
@@ -36,7 +45,25 @@ class DMTNode:
     model and accumulating statistics, which is what allows the DMT to
     evaluate losses "on different hierarchies" and detect both global and
     local concept drift (Section IV-D).
+
+    Per batch, :meth:`update_statistics` sweeps the stored candidates' child
+    losses once and returns that sweep for the node's split check, which
+    reads gain (3) or (4) from it (see :class:`CandidateManager`).
+
+    Derived counts.  :attr:`n_leaves`, :attr:`n_inner`,
+    :attr:`n_leaf_parameters` (the summed ``k`` of the subtree's leaf
+    models) and :attr:`height` describe the subtree below this node.
+    :meth:`refresh_counts` recomputes them in O(1) from the children's
+    counts; :meth:`apply_split` and :meth:`collapse_to_leaf` call it, and
+    the tree calls it on every inner node it trains, after the node's
+    children, so counts are current bottom-up.  A node restructured by hand
+    below the root leaves its ancestors' counts stale until they are
+    refreshed.  The counts are integers, so they equal a walk of the
+    subtree exactly.  They are not persisted; decoding rebuilds them,
+    children first.
     """
+
+    _repro_transient = ("n_leaves", "n_inner", "n_leaf_parameters", "height")
 
     def __init__(
         self,
@@ -61,6 +88,25 @@ class DMTNode:
         self.split_threshold: float | None = None
         self.left: DMTNode | None = None
         self.right: DMTNode | None = None
+        self.refresh_counts()
+
+    def _init_transient(self) -> None:
+        """Rebuild the counts on load; the decoder rebuilt the children's first."""
+        self.refresh_counts()
+
+    def refresh_counts(self) -> None:
+        """Recount the subtree from the children's counts (see the class docstring)."""
+        left, right = self.left, self.right
+        if left is None or right is None:
+            self.n_leaves = 1
+            self.n_inner = 0
+            self.n_leaf_parameters = self.model.n_parameters
+            self.height = 0
+            return
+        self.n_leaves = left.n_leaves + right.n_leaves
+        self.n_inner = 1 + left.n_inner + right.n_inner
+        self.n_leaf_parameters = left.n_leaf_parameters + right.n_leaf_parameters
+        self.height = 1 + max(left.height, right.height)
 
     # ------------------------------------------------------------ structure
     @property
@@ -98,24 +144,26 @@ class DMTNode:
         return float(sum(leaf.loss for leaf in self.subtree_leaves()))
 
     def subtree_leaf_parameters(self) -> int:
-        """Summed free parameters of the subtree's leaf models."""
-        return int(sum(leaf.model.n_parameters for leaf in self.subtree_leaves()))
+        """Summed free parameters of the subtree's leaf models (a count)."""
+        return self.n_leaf_parameters
 
     def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+        """Height of the subtree (a count)."""
+        return self.height
 
     # --------------------------------------------------------------- update
     def update_statistics(
         self, X: np.ndarray, y: np.ndarray, learning_rate: float
-    ) -> None:
+    ) -> ChildLosses:
         """Algorithm 1, lines 1-17 for a single node.
 
         Accumulates the node loss / gradient / count using the simple-model
         parameters from *before* this batch (test-then-train), refreshes the
         stored candidate statistics with the same per-sample gradients, and
         finally trains the simple model with instance-incremental SGD.
+
+        Returns the stored candidates' child losses after the batch (the
+        sweep of :meth:`CandidateManager.child_losses`), for the split check.
         """
         X_aug = self.model.augment(X)
         per_sample_loss, per_sample_gradient = (
@@ -130,10 +178,14 @@ class DMTNode:
         self.count += float(len(y))
 
         augmented = augment_batch(per_sample_loss, per_sample_gradient)
-        self.candidates.update_stored(
+        candidates = self.candidates
+        candidates.update_stored(
             X, per_sample_loss, per_sample_gradient, augmented=augmented
         )
-        self.candidates.consider_new(
+        child_losses = candidates.child_losses(
+            self.loss, self.gradient, self.count, learning_rate
+        )
+        if candidates.consider_new(
             X,
             per_sample_loss,
             per_sample_gradient,
@@ -142,18 +194,30 @@ class DMTNode:
             node_count=self.count,
             learning_rate=learning_rate,
             augmented=augmented,
-        )
+            batch_loss=batch_loss,
+            batch_gradient=batch_gradient,
+            child_losses=child_losses,
+        ):
+            # An admission or eviction changed the store: sweep it again.
+            child_losses = candidates.child_losses(
+                self.loss, self.gradient, self.count, learning_rate
+            )
 
         # Instance-incremental SGD: one constant-learning-rate step per
         # observation, computed at the then-current weights.
         if len(y) > 0:
             self.model.fit_incremental(X, y, X_aug=X_aug)
+        return child_losses
 
     # ------------------------------------------------------- split decisions
     def best_split(
         self, learning_rate: float, reference_loss: float | None = None
     ) -> tuple[CandidateStatistics | None, float]:
-        """Best stored candidate and its gain against ``reference_loss``."""
+        """Best stored candidate and its gain against ``reference_loss``.
+
+        Sweeps the store afresh; the tree's split check instead reuses the
+        sweep :meth:`update_statistics` returned.
+        """
         return self.candidates.best_candidate(
             node_loss=self.loss,
             node_gradient=self.gradient,
@@ -165,25 +229,27 @@ class DMTNode:
 
     def leaf_split_threshold(self, epsilon: float) -> float:
         """AIC threshold for splitting this node when it is a leaf."""
-        k = self.model.n_parameters
-        return aic_split_threshold(k, k, k, epsilon)
+        return _leaf_split_threshold(self.model.n_parameters, epsilon)
 
     def resplit_threshold(self, epsilon: float) -> float:
         """AIC threshold for replacing this inner node's subtree by a new split."""
         k = self.model.n_parameters
-        return aic_resplit_threshold(
-            k, k, self.subtree_leaf_parameters(), epsilon
-        )
+        return aic_resplit_threshold(k, k, self.n_leaf_parameters, epsilon)
 
     def prune_threshold(self, epsilon: float) -> float:
         """AIC threshold for collapsing this inner node into a leaf."""
         return aic_prune_threshold(
-            self.model.n_parameters, self.subtree_leaf_parameters(), epsilon
+            self.model.n_parameters, self.n_leaf_parameters, epsilon
         )
 
-    def prune_to_leaf_gain(self) -> float:
-        """Gain (5): subtree leaf loss minus this node's own loss."""
-        return prune_gain(self.subtree_leaf_loss(), self.loss)
+    def prune_to_leaf_gain(self, subtree_loss: float | None = None) -> float:
+        """Gain (5): subtree leaf loss minus this node's own loss.
+
+        ``subtree_loss`` passes in a :meth:`subtree_leaf_loss` already summed.
+        """
+        if subtree_loss is None:
+            subtree_loss = self.subtree_leaf_loss()
+        return prune_gain(subtree_loss, self.loss)
 
     # ----------------------------------------------------------- restructure
     def make_child(self, candidate: CandidateStatistics, side: str) -> "DMTNode":
@@ -222,6 +288,7 @@ class DMTNode:
         self.split_threshold = candidate.threshold
         self.left = self.make_child(candidate, "left")
         self.right = self.make_child(candidate, "right")
+        self.refresh_counts()
 
     def collapse_to_leaf(self) -> None:
         """Drop the subtree below this node; the node keeps its own model."""
@@ -229,6 +296,7 @@ class DMTNode:
         self.split_threshold = None
         self.left = None
         self.right = None
+        self.refresh_counts()
 
     # -------------------------------------------------------------- predict
     def sorted_leaf(self, x: np.ndarray) -> "DMTNode":

@@ -33,13 +33,17 @@ _PROBA_EPS = 1e-12
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z, dtype=float)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    """Numerically stable logistic function, with one exponential.
+
+    ``1 / (1 + exp(-z))`` for ``z >= 0`` and ``exp(z) / (1 + exp(z))``
+    below, so no exponential overflows.  ``minimum(z, -z)`` is exactly the
+    operand each branch exponentiates: ``-z`` for ``z >= 0``, ``z`` for
+    ``z < 0``, and ``z`` itself when it is NaN (``np.minimum`` returns the
+    NaN operand), so a NaN keeps its sign bit as well.
+    """
+    exp_z = np.exp(np.minimum(z, -z))
+    denominator = 1.0 + exp_z
+    return np.where(z >= 0, 1.0 / denominator, exp_z / denominator)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -101,7 +105,7 @@ class IncrementalGLM:
     @property
     def n_parameters(self) -> int:
         """Number of free parameters ``k`` (used by the AIC threshold)."""
-        return int(np.prod(self._weight_shape()))
+        return self.weights.size
 
     def clone(self, warm_start: bool = True, rng=None) -> "IncrementalGLM":
         """Return a copy of this model.
@@ -145,8 +149,12 @@ class IncrementalGLM:
         """Return probabilities of shape ``(n, n_classes)``."""
         X_aug = self.augment(X)
         if self.n_classes == 2:
+            # One (n, 2) array instead of np.column_stack's two temporaries.
             p_one = _sigmoid(X_aug @ self.weights)
-            return np.column_stack([1.0 - p_one, p_one])
+            proba = np.empty((len(p_one), 2))
+            proba[:, 0] = 1.0 - p_one
+            proba[:, 1] = p_one
+            return proba
         return _softmax(X_aug @ self.weights.T)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -224,7 +232,7 @@ class IncrementalGLM:
             errors = p_one - y_is_one.astype(float)
             grads = errors[:, None] * X_aug
             # Selecting per-sample probabilities directly is the same gather
-            # predict_proba's column_stack + fancy index performs.
+            # predict_proba's [1 - p, p] columns + fancy index perform.
             chosen = np.where(y_is_one, p_one, 1.0 - p_one)
         else:
             proba = _softmax(X_aug @ self.weights.T)

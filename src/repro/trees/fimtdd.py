@@ -214,13 +214,11 @@ class FIMTDDClassifier(StreamClassifier):
         self, X: np.ndarray, y: np.ndarray, classes: np.ndarray | None = None
     ) -> "FIMTDDClassifier":
         X, y = self._validate_input(X, y)
-        previously_known = self.n_classes_
-        class_indices = self._update_classes(y, classes)
-        if self.root is not None and self.n_classes_ > max(previously_known, 2):
-            raise ValueError(
-                "New class labels appeared after the tree was initialised; "
-                "pass the full class set via `classes` on the first call."
-            )
+        # The leaf models are built for max(n_classes_, 2) classes.
+        class_indices = self._update_classes(
+            y, classes,
+            max_classes=None if self.root is None else max(self.n_classes_, 2),
+        )
         if self.root is None:
             self.root = self._new_leaf(depth=0)
         rows = zip(IncrementalGLM.augment(X), X.tolist(), class_indices.tolist())
@@ -380,8 +378,7 @@ class FIMTDDClassifier(StreamClassifier):
                         node.children[branch] = child
                     stack.append((child, child_rows))
                 continue
-            leaf_proba = node.model.predict_proba(X[rows])
-            proba[rows] = leaf_proba[:, : self.n_classes_]
+            proba[rows] = node.model.predict_proba(X[rows])
         # Every row holds a leaf's full softmax row or [1 - p, p], so none
         # sums to 0.
         row_sums = proba.sum(axis=1, keepdims=True)

@@ -22,21 +22,34 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.base import ComplexityReport
 from repro.core.candidates import (
     CandidateManager,
     CandidateStatistics,
     augment_batch,
 )
 from repro.core.dmt import DynamicModelTree
+from repro.core.gains import (
+    aic_prune_threshold,
+    aic_resplit_threshold,
+    aic_split_threshold,
+    prune_gain,
+)
 from repro.core.nodes import DMTNode
 from repro.drift.adwin import ADWIN
 from repro.ensembles.adaptive_random_forest import AdaptiveRandomForestClassifier
 from repro.ensembles.bagging import OzaBaggingClassifier
 from repro.ensembles.leveraging_bagging import LeveragingBaggingClassifier
-from repro.linear.glm import IncrementalGLM, _sigmoid, _softmax
+from repro.linear.glm import IncrementalGLM, _softmax
 from repro.linear.naive_bayes import GaussianNaiveBayes
 from repro.telemetry import (
     DMT_CANDIDATES,
+    DMT_PRUNE,
+    DMT_PRUNES_TOTAL,
+    DMT_RESPLIT,
+    DMT_RESPLITS_TOTAL,
+    DMT_SPLIT,
+    DMT_SPLITS_TOTAL,
     ENSEMBLE_MEMBER_DRIFT,
     ENSEMBLE_MEMBER_DRIFTS_TOTAL,
     TELEMETRY,
@@ -55,6 +68,16 @@ from repro.trees.vfdt import HoeffdingTreeClassifier
 
 
 # ------------------------------------------------------------------- linear
+def sigmoid_scatter(z):
+    """The logistic function through boolean masks, one exponential per side."""
+    out = np.empty_like(z, dtype=float)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out
+
+
 class ReferenceGLM(IncrementalGLM):
     """Instance-incremental SGD as one :meth:`update` per observation."""
 
@@ -146,9 +169,13 @@ class ReferenceCandidateManager(CandidateManager):
         node_gradient,
         node_count,
         learning_rate,
-        reference_loss=None,
         augmented=None,
+        batch_loss=None,
+        batch_gradient=None,
+        child_losses=None,
     ):
+        # Sums the batch and scores the stored candidates itself, whatever
+        # the caller passes in.
         X = np.asarray(X, dtype=float)
         per_sample_loss = np.asarray(per_sample_loss, dtype=float)
         per_sample_gradient = np.asarray(per_sample_gradient, dtype=float)
@@ -162,7 +189,7 @@ class ReferenceCandidateManager(CandidateManager):
 
         fresh = self._propose_fresh(X, augmented)
         if fresh is None:
-            return
+            return False
         fresh_features, fresh_thresholds, fresh_losses, fresh_gradients, fresh_counts = fresh
         if TELEMETRY.enabled:
             self._telemetry_counters()[0].inc(len(fresh_features))
@@ -192,9 +219,13 @@ class ReferenceCandidateManager(CandidateManager):
 
         evicted: list[int] = []
         if len(remaining) and budget > 0 and len(self._features):
-            stored_gains = self._stored_gains(
-                node_loss, node_gradient, node_count, learning_rate,
-                reference_loss,
+            stored_gains = np.array(
+                [
+                    self.candidate(index).gain(
+                        node_loss, node_gradient, node_count, learning_rate
+                    )
+                    for index in range(len(self._features))
+                ]
             )
             stored_order = np.argsort(stored_gains, kind="stable")
             for newcomer, weakest in zip(remaining, stored_order):
@@ -238,6 +269,7 @@ class ReferenceCandidateManager(CandidateManager):
                 admitted_total.inc(len(admitted))
                 if evicted:
                     evicted_total.inc(len(evicted))
+        return bool(evicted or admitted)
 
     def _propose_fresh(self, X, augmented):
         features: list[int] = []
@@ -275,20 +307,16 @@ class ReferenceCandidateManager(CandidateManager):
             counts.astype(float),
         )
 
-    def _stored_gains(
-        self, node_loss, node_gradient, node_count, learning_rate, reference_loss
-    ):
-        return np.array(
-            [
-                self._materialize(index).gain(
-                    node_loss=node_loss,
-                    node_gradient=node_gradient,
-                    node_count=node_count,
-                    learning_rate=learning_rate,
-                    reference_loss=reference_loss,
-                )
-                for index in range(len(self._features))
-            ]
+    def child_losses(self, node_loss, node_gradient, node_count, learning_rate):
+        pairs = [
+            self.candidate(index).child_losses(
+                node_loss, node_gradient, node_count, learning_rate
+            )
+            for index in range(len(self._features))
+        ]
+        return (
+            np.array([left for left, _ in pairs], dtype=float),
+            np.array([right for _, right in pairs], dtype=float),
         )
 
 
@@ -339,6 +367,94 @@ class ReferenceDynamicModelTree(DynamicModelTree):
         )
 
 
+class TwoSweepDynamicModelTree(DynamicModelTree):
+    """The DMT whose split checks sweep the candidate store again.
+
+    The leaf check (3) and the inner-node checks (4) and (5) ignore the
+    sweep :meth:`DMTNode.update_statistics` returned and ask
+    :meth:`DMTNode.best_split` for a fresh one.  Thresholds come from walks
+    of the subtree, the subtree's leaf loss is summed once per gain, and
+    the best candidate is materialised on every check.
+    """
+
+    def _try_split_leaf(self, node, depth, child_losses):
+        if self.max_depth is not None and depth >= self.max_depth:
+            return
+        candidate, gain = node.best_split(self.learning_rate)
+        if candidate is None:
+            return
+        k = node.model.n_parameters
+        if gain >= aic_split_threshold(k, k, k, self.epsilon):
+            node.apply_split(candidate)
+            if TELEMETRY.enabled:
+                TELEMETRY.emit(
+                    DMT_SPLIT,
+                    feature=int(candidate.feature),
+                    threshold=float(candidate.threshold),
+                    gain=float(gain),
+                    depth=int(depth),
+                )
+                TELEMETRY.counter(DMT_SPLITS_TOTAL).inc()
+
+    def _try_restructure_inner(self, node, child_losses):
+        k = node.model.n_parameters
+        leaf_parameters = int(
+            sum(leaf.model.n_parameters for leaf in node.subtree_leaves())
+        )
+        candidate, resplit_gain = node.best_split(
+            self.learning_rate, reference_loss=node.subtree_leaf_loss()
+        )
+        resplit_ok = candidate is not None and resplit_gain >= (
+            aic_resplit_threshold(k, k, leaf_parameters, self.epsilon)
+        )
+        to_leaf_gain = prune_gain(node.subtree_leaf_loss(), node.loss)
+        prune_ok = to_leaf_gain >= aic_prune_threshold(
+            k, leaf_parameters, self.epsilon
+        )
+        if prune_ok and (not resplit_ok or to_leaf_gain >= resplit_gain):
+            node.collapse_to_leaf()
+            if TELEMETRY.enabled:
+                TELEMETRY.emit(DMT_PRUNE, gain=float(to_leaf_gain))
+                TELEMETRY.counter(DMT_PRUNES_TOTAL).inc()
+        elif resplit_ok:
+            node.apply_split(candidate)
+            if TELEMETRY.enabled:
+                TELEMETRY.emit(
+                    DMT_RESPLIT,
+                    feature=int(candidate.feature),
+                    threshold=float(candidate.threshold),
+                    gain=float(resplit_gain),
+                )
+                TELEMETRY.counter(DMT_RESPLITS_TOTAL).inc()
+
+
+def dmt_complexity_walk(model):
+    """``model.complexity()`` counted by a walk over every node."""
+    if model.root is None:
+        return ComplexityReport(n_splits=0, n_parameters=0)
+    nodes = model.root.subtree_nodes()
+    leaves = [node for node in nodes if node.is_leaf]
+    inner = [node for node in nodes if not node.is_leaf]
+    n_classes = max(model.n_classes_, 2)
+    leaf_split_contrib = 1 if n_classes == 2 else n_classes
+    per_leaf_params = (
+        model.n_features_ if n_classes == 2 else model.n_features_ * n_classes
+    )
+
+    def height(node):
+        if node.is_leaf:
+            return 0
+        return 1 + max(height(node.left), height(node.right))
+
+    return ComplexityReport(
+        n_splits=len(inner) + leaf_split_contrib * len(leaves),
+        n_parameters=len(inner) + per_leaf_params * len(leaves),
+        n_nodes=len(nodes),
+        n_leaves=len(leaves),
+        depth=height(model.root),
+    )
+
+
 def dmt_predict_proba_per_row(model, X):
     """``model.predict_proba(X)``, routing and scoring one row at a time."""
     X, _ = model._validate_input(X)
@@ -357,10 +473,11 @@ def dmt_predict_proba_per_row(model, X):
 
 
 def glm_predict_proba_stacked(glm, X):
-    """``glm.predict_proba(X)`` built with ``np.hstack`` and ``np.column_stack``."""
+    """``glm.predict_proba(X)`` built with ``np.hstack``, :func:`sigmoid_scatter`
+    and ``np.column_stack``."""
     X_aug = np.hstack([X, np.ones((X.shape[0], 1))])
     if glm.n_classes == 2:
-        p_one = _sigmoid(X_aug @ glm.weights)
+        p_one = sigmoid_scatter(X_aug @ glm.weights)
         return np.column_stack([1.0 - p_one, p_one])
     return _softmax(X_aug @ glm.weights.T)
 
@@ -594,10 +711,10 @@ class TwoPassFIMTDD(FIMTDDClassifier):
 
     def partial_fit(self, X, y, classes=None):
         X, y = self._validate_input(X, y)
-        previously_known = self.n_classes_
-        self._update_classes(y, classes)
-        if self.root is not None and self.n_classes_ > max(previously_known, 2):
-            raise ValueError("New class labels appeared after initialisation.")
+        self._update_classes(
+            y, classes,
+            max_classes=None if self.root is None else max(self.n_classes_, 2),
+        )
         if self.root is None:
             self.root = self._new_leaf(depth=0)
         y_idx = self.class_index(y)
@@ -834,10 +951,11 @@ ORACLE_KERNELS = {
         "update_stored",
         "consider_new",
         "_propose_fresh",
-        "_stored_gains",
+        "child_losses",
     ),
     ReferenceDMTNode: ("__init__",),
     ReferenceDynamicModelTree: ("_make_node",),
+    TwoSweepDynamicModelTree: ("_try_split_leaf", "_try_restructure_inner"),
     ReferenceLeafObservers: ("best_split_suggestions", "best_sdr_suggestions"),
     ReferenceHoeffdingTree: ("partial_fit", "predict_proba", "_new_leaf"),
     ReferenceHoeffdingAdaptiveTree: ("partial_fit", "predict_proba", "_new_leaf"),

