@@ -455,7 +455,7 @@ class CandidateManager:
     #: Pure caches skipped by the persistence encoder and rebuilt by
     #: :meth:`_init_transient` (which also migrates legacy payloads that
     #: stored a dict of :class:`CandidateStatistics`).
-    _repro_transient = ("_key_index", "_candidate_counters")
+    _repro_transient = ("_key_index",)
 
     def __init__(
         self,
@@ -495,14 +495,6 @@ class CandidateManager:
     # -------------------------------------------------------------- decoding
     def _init_transient(self) -> None:
         """Rebuild the key index; migrate legacy dict-of-dataclass payloads."""
-        #: Cached summed/admitted/evicted counter handles, stamped with the
-        #: metric registry generation they were resolved under (a registry
-        #: ``clear()`` bumps the generation and invalidates them).
-        #: Candidate updates are the most frequent instrumented site in DMT
-        #: training, so the labelled registry lookup is hoisted out of the
-        #: per-update path.  Instance state, not a module-level cache, so
-        #: no mutable state is shared between candidate stores.
-        self._candidate_counters: dict = {"generation": -1}
         legacy = self.__dict__.pop("_candidates", None)
         if legacy is not None:
             stats = list(legacy.values())
@@ -530,20 +522,6 @@ class CandidateManager:
                 zip(self._features, self._thresholds)
             )
         }
-
-    def _telemetry_counters(self):
-        """Summed/admitted/evicted counter handles, re-resolved per registry
-        generation."""
-        registry = TELEMETRY.registry
-        cache = self._candidate_counters
-        if cache.get("generation") != registry.generation:
-            cache["handles"] = (
-                registry.counter(DMT_CANDIDATES_SUMMED_TOTAL),
-                registry.counter(DMT_CANDIDATES_ADMITTED_TOTAL),
-                registry.counter(DMT_CANDIDATES_EVICTED_TOTAL),
-            )
-            cache["generation"] = registry.generation
-        return cache["handles"]
 
     # ------------------------------------------------------------ accessors
     def __len__(self) -> int:
@@ -761,7 +739,7 @@ class CandidateManager:
             return False
         fresh_features, fresh_thresholds, fresh_losses, fresh_gradients, fresh_counts = fresh
         if TELEMETRY.enabled:
-            self._telemetry_counters()[0].inc(len(fresh_features))
+            TELEMETRY.counter(DMT_CANDIDATES_SUMMED_TOTAL).inc(len(fresh_features))
 
         fresh_gains = candidate_gain_sweep(
             fresh_losses,
@@ -822,10 +800,9 @@ class CandidateManager:
                     n_evicted=len(evicted),
                     n_stored=len(self._features),
                 )
-                _, admitted_total, evicted_total = self._telemetry_counters()
-                admitted_total.inc(len(admitted))
+                TELEMETRY.counter(DMT_CANDIDATES_ADMITTED_TOTAL).inc(len(admitted))
                 if evicted:
-                    evicted_total.inc(len(evicted))
+                    TELEMETRY.counter(DMT_CANDIDATES_EVICTED_TOTAL).inc(len(evicted))
         return bool(evicted or admitted)
 
     def _propose_fresh(

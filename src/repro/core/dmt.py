@@ -15,8 +15,6 @@ robustness thresholds (Section V-C), so the tree
 
 from __future__ import annotations
 
-from time import perf_counter
-
 import numpy as np
 
 from repro.base import ComplexityReport, StreamClassifier
@@ -25,11 +23,8 @@ from repro.core.nodes import DMTNode
 from repro.linear.glm import IncrementalGLM
 from repro.telemetry import (
     DMT_PRUNE,
-    DMT_PRUNES_TOTAL,
     DMT_RESPLIT,
-    DMT_RESPLITS_TOTAL,
     DMT_SPLIT,
-    DMT_SPLITS_TOTAL,
     SPAN_DMT_PARTIAL_FIT,
     SPAN_DMT_PREDICT_PROBA,
     TELEMETRY,
@@ -151,19 +146,9 @@ class DynamicModelTree(StreamClassifier):
         if not TELEMETRY.enabled:
             self._update_recursive(self.root, X, y_idx, depth=0)
             return self
-        # Training runs once per mini-batch, so like ``predict_proba`` the
-        # span is inlined: push the path by hand instead of allocating a
-        # Span context manager.
-        tracer = TELEMETRY.tracer
-        stack = tracer._stack()
-        path = stack[-1] + "/" + SPAN_DMT_PARTIAL_FIT if stack else SPAN_DMT_PARTIAL_FIT
-        stack.append(path)
-        started = perf_counter()
-        try:
-            self._update_recursive(self.root, X, y_idx, depth=0)
-        finally:
-            stack.pop()
-            tracer._histogram(path).observe(perf_counter() - started)
+        TELEMETRY.tracer.call(
+            SPAN_DMT_PARTIAL_FIT, self._update_recursive, self.root, X, y_idx, 0
+        )
         return self
 
     def _update_recursive(
@@ -209,7 +194,6 @@ class DynamicModelTree(StreamClassifier):
                     gain=float(gain),
                     depth=int(depth),
                 )
-                TELEMETRY.counter(DMT_SPLITS_TOTAL).inc()
 
     def _try_restructure_inner(
         self, node: DMTNode, child_losses: ChildLosses
@@ -237,7 +221,6 @@ class DynamicModelTree(StreamClassifier):
             node.collapse_to_leaf()
             if TELEMETRY.enabled:
                 TELEMETRY.emit(DMT_PRUNE, gain=float(to_leaf_gain))
-                TELEMETRY.counter(DMT_PRUNES_TOTAL).inc()
         elif resplit_ok:
             candidate = node.candidates.candidate(best)
             node.apply_split(candidate)
@@ -248,7 +231,6 @@ class DynamicModelTree(StreamClassifier):
                     threshold=float(candidate.threshold),
                     gain=float(resplit_gain),
                 )
-                TELEMETRY.counter(DMT_RESPLITS_TOTAL).inc()
 
     # ------------------------------------------------------------ inference
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -264,21 +246,9 @@ class DynamicModelTree(StreamClassifier):
             raise RuntimeError("predict_proba() called before partial_fit().")
         if not TELEMETRY.enabled:
             return self._predict_proba_batch(X)
-        # Inference is the hottest traced region in the package (one call
-        # per scoring request), so the span is inlined: push the path by
-        # hand instead of allocating a Span context manager.
-        tracer = TELEMETRY.tracer
-        stack = tracer._stack()
-        path = (
-            stack[-1] + "/" + SPAN_DMT_PREDICT_PROBA if stack else SPAN_DMT_PREDICT_PROBA
+        return TELEMETRY.tracer.call(
+            SPAN_DMT_PREDICT_PROBA, self._predict_proba_batch, X
         )
-        stack.append(path)
-        started = perf_counter()
-        try:
-            return self._predict_proba_batch(X)
-        finally:
-            stack.pop()
-            tracer._histogram(path).observe(perf_counter() - started)
 
     def _predict_proba_batch(self, X: np.ndarray) -> np.ndarray:
         n_classes = self.n_classes_

@@ -7,7 +7,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.persistence.mixin import PersistableStateMixin
-from repro.telemetry import DRIFT_DETECTED, DRIFT_DETECTIONS_TOTAL, TELEMETRY
+from repro.telemetry import DRIFT_DETECTED, TELEMETRY
 
 
 class BaseDriftDetector(PersistableStateMixin, ABC):
@@ -62,9 +62,6 @@ class BaseDriftDetector(PersistableStateMixin, ABC):
                 else n_observations
             ),
         )
-        TELEMETRY.counter(
-            DRIFT_DETECTIONS_TOTAL, detector=type(self).__name__
-        ).inc()
 
     def reset(self) -> "BaseDriftDetector":
         """Restore the initial state."""

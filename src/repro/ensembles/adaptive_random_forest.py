@@ -18,11 +18,7 @@ import numpy as np
 from repro.base import ComplexityReport, StreamClassifier
 from repro.drift.adwin import ADWIN
 from repro.persistence.registry import register
-from repro.telemetry import (
-    ENSEMBLE_MEMBER_DRIFT,
-    ENSEMBLE_MEMBER_DRIFTS_TOTAL,
-    TELEMETRY,
-)
+from repro.telemetry import ENSEMBLE_MEMBER_DRIFT, TELEMETRY
 from repro.ensembles.bagging import (
     accumulate_member_votes,
     detector_saw_mean_increase,
@@ -184,10 +180,6 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
                             member=int(member_idx),
                             detector="ADWIN",
                         )
-                        TELEMETRY.counter(
-                            ENSEMBLE_MEMBER_DRIFTS_TOTAL,
-                            model=type(self).__name__,
-                        ).inc()
 
             # Online bagging update of the foreground (and background) tree.
             weights = weight_matrix[member_idx]

@@ -14,11 +14,7 @@ import numpy as np
 
 from repro.base import StreamClassifier
 from repro.drift.adwin import ADWIN
-from repro.telemetry import (
-    ENSEMBLE_MEMBER_DRIFT,
-    ENSEMBLE_MEMBER_DRIFTS_TOTAL,
-    TELEMETRY,
-)
+from repro.telemetry import ENSEMBLE_MEMBER_DRIFT, TELEMETRY
 from repro.ensembles.bagging import OzaBaggingClassifier, detector_saw_mean_increase
 
 
@@ -99,9 +95,5 @@ class LeveragingBaggingClassifier(OzaBaggingClassifier):
                     member=worst,
                     detector="ADWIN",
                 )
-                TELEMETRY.counter(
-                    ENSEMBLE_MEMBER_DRIFTS_TOTAL,
-                    model=type(self).__name__,
-                ).inc()
 
         return super().partial_fit(X, y, classes=classes)

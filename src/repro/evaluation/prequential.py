@@ -40,12 +40,10 @@ from repro.streams.scenarios import LabelRealism, label_realism
 from repro.telemetry import (
     EVALUATION_BATCH_SECONDS,
     EVALUATION_COMPLETED,
-    EVALUATION_RUNS_TOTAL,
     LABEL_DELAYED_FLUSH,
     SPAN_EVALUATION_PREQUENTIAL,
     TELEMETRY,
 )
-from repro.telemetry.metrics import Histogram
 from repro.utils.validation import check_in_range
 
 
@@ -187,8 +185,6 @@ class PrequentialSession(PersistableStateMixin):
     training step).
     """
 
-    _repro_transient = ("_batch_histogram",)
-
     def __init__(
         self,
         model: StreamClassifier,
@@ -237,19 +233,6 @@ class PrequentialSession(PersistableStateMixin):
         self.pending_X: np.ndarray = np.empty((0, stream.n_features))
         self.pending_y: np.ndarray = np.empty(0, dtype=np.int64)
         self.pending_arrival: np.ndarray = np.empty(0, dtype=np.int64)
-        self._init_transient()
-
-    def _init_transient(self) -> None:
-        self._batch_histogram: Histogram | None = None
-
-    def _telemetry_histogram(self) -> Histogram:
-        if self._batch_histogram is None:
-            self._batch_histogram = TELEMETRY.histogram(
-                EVALUATION_BATCH_SECONDS,
-                model=self.result.model_name,
-                dataset=self.result.dataset_name,
-            )
-        return self._batch_histogram
 
     # ----------------------------------------------------------------- loop
     def _has_more(self) -> bool:
@@ -315,7 +298,11 @@ class PrequentialSession(PersistableStateMixin):
         if TELEMETRY.enabled:
             # Reuse the already-measured duration: no extra clock reads
             # inside the timed region.
-            self._telemetry_histogram().observe(elapsed)
+            TELEMETRY.histogram(
+                EVALUATION_BATCH_SECONDS,
+                model=result.model_name,
+                dataset=result.dataset_name,
+            ).observe(elapsed)
         if not self._has_more():
             self._finalize()
             return False
@@ -389,9 +376,6 @@ class PrequentialSession(PersistableStateMixin):
                 n_iterations=result.n_iterations,
                 n_samples=result.n_samples,
             )
-            TELEMETRY.counter(
-                EVALUATION_RUNS_TOTAL, model=result.model_name
-            ).inc()
 
     def run(self) -> PrequentialResult:
         """Run the remaining batches to completion."""

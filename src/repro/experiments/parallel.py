@@ -27,7 +27,6 @@ from repro.evaluation.prequential import PrequentialResult
 from repro.experiments.store import ResultStore, RunConfig
 from repro.telemetry import (
     EXPERIMENTS_CELL_SECONDS,
-    EXPERIMENTS_CELLS_TOTAL,
     GRID_CELL_COMPLETED,
     TELEMETRY,
 )
@@ -122,7 +121,6 @@ def run_grid(
                 dataset=config.dataset,
                 elapsed_seconds=elapsed_seconds,
             )
-            TELEMETRY.counter(EXPERIMENTS_CELLS_TOTAL).inc()
             if elapsed_seconds is not None:
                 TELEMETRY.histogram(EXPERIMENTS_CELL_SECONDS).observe(
                     elapsed_seconds

@@ -20,13 +20,7 @@ import numpy as np
 from repro.base import StreamClassifier
 from repro.drift.base import BaseDriftDetector
 from repro.serving.registry import ModelRegistry, ModelVersion
-from repro.telemetry import (
-    SERVING_CHAMPION_DRIFTS_TOTAL,
-    SERVING_DRIFT,
-    SERVING_PROMOTION,
-    SERVING_PROMOTIONS_TOTAL,
-    TELEMETRY,
-)
+from repro.telemetry import SERVING_DRIFT, SERVING_PROMOTION, TELEMETRY
 
 
 class ChampionChallenger:
@@ -168,9 +162,6 @@ class ChampionChallenger:
                     detector=type(self.drift_detector).__name__,
                     n_drifts=self.n_drifts,
                 )
-                TELEMETRY.counter(
-                    SERVING_CHAMPION_DRIFTS_TOTAL, name=self.name
-                ).inc()
 
         # Test-then-train: both models keep learning from the labelled stream.
         champion.partial_fit(X, y)
@@ -226,7 +217,4 @@ class ChampionChallenger:
                     "challenger_shadow_accuracy"
                 ],
             )
-            TELEMETRY.counter(
-                SERVING_PROMOTIONS_TOTAL, name=self.name
-            ).inc()
         return entry

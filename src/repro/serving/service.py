@@ -31,8 +31,21 @@ from repro.telemetry import (
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
+    HandleCache,
     Histogram,
+    MetricsRegistry,
 )
+
+
+def _request_metrics(
+    registry: MetricsRegistry, name: str
+) -> tuple[Counter, Counter, Histogram]:
+    """The (requests, rows, latency) series of one model name."""
+    return (
+        registry.counter(SERVING_REQUESTS_TOTAL, model=name),
+        registry.counter(SERVING_ROWS_TOTAL, model=name),
+        registry.histogram(SERVING_LATENCY_SECONDS, model=name),
+    )
 
 
 @register
@@ -139,14 +152,9 @@ class ScoringService:
         self.max_batch_size = max_batch_size
         self._lock = threading.Lock()
         self._stats: dict[str, ScoringStats] = {}
-        # Telemetry metric handles per model name, cached against the metric
-        # registry's generation so a registry clear() invalidates them.  The
-        # cache keeps the per-request telemetry cost to three attribute
-        # bumps instead of three labelled registry lookups.
-        self._telemetry_handles: dict[
-            str, tuple[Counter, Counter, Histogram]
-        ] = {}
-        self._telemetry_generation = -1
+        # Per-request telemetry costs three attribute bumps instead of three
+        # labelled registry lookups.
+        self._request_metrics = HandleCache(_request_metrics)
 
     # -------------------------------------------------------------- scoring
     def predict(self, name: str, X: np.ndarray) -> np.ndarray:
@@ -162,19 +170,11 @@ class ScoringService:
         X = np.asarray(X)
         score = getattr(model, method)
         # The request is timed for the per-model stats anyway, so the
-        # ``serving.score`` trace span reuses that measurement instead of
-        # allocating a Span with its own clock reads: push the span path by
-        # hand (nested model spans still pick up the prefix) and feed the
-        # span histogram the already-measured elapsed time.
+        # ``serving.score`` span reuses that measurement: nested model spans
+        # open under it, and it closes with the already-measured duration.
         telemetry_on = TELEMETRY.enabled
         if telemetry_on:
-            span_stack = TELEMETRY.tracer._stack()
-            span_path = (
-                span_stack[-1] + "/" + SPAN_SERVING_SCORE
-                if span_stack
-                else SPAN_SERVING_SCORE
-            )
-            span_stack.append(span_path)
+            span = TELEMETRY.tracer.enter(SPAN_SERVING_SCORE)
         started = time.perf_counter()
         try:
             if self.max_batch_size is None or len(X) <= self.max_batch_size:
@@ -186,47 +186,22 @@ class ScoringService:
                 ]
                 result = np.concatenate(chunks, axis=0)
         finally:
+            elapsed = time.perf_counter() - started
             if telemetry_on:
-                span_stack.pop()
-        elapsed = time.perf_counter() - started
+                TELEMETRY.tracer.exit(span, elapsed)
         with self._lock:
             stats = self._stats.get(name)
             if stats is None:
                 stats = self._stats.setdefault(name, ScoringStats())
             stats.observe(len(X), elapsed)
         if telemetry_on:
-            requests, rows, latency = self._telemetry_for(name)
+            requests, rows, latency = self._request_metrics.get(
+                TELEMETRY.registry, name
+            )
             requests.inc()
             rows.inc(len(X))
             latency.observe(elapsed)
-            TELEMETRY.tracer._histogram(span_path).observe(elapsed)
         return result
-
-    def _telemetry_for(
-        self, name: str
-    ) -> tuple[Counter, Counter, Histogram]:
-        """Cached (requests, rows, latency) metric handles for one name.
-
-        The generation check and cache rebuild race against concurrent
-        scorers: one thread clearing the dict while another writes its
-        handles back can resurrect stale-generation handles.  The whole
-        check-clear-create sequence therefore runs under the lock.
-        """
-        with self._lock:
-            if self._telemetry_generation != TELEMETRY.registry.generation:
-                self._telemetry_handles.clear()
-                self._telemetry_generation = TELEMETRY.registry.generation
-            handles = self._telemetry_handles.get(name)
-            if handles is None:
-                handles = (
-                    TELEMETRY.counter(SERVING_REQUESTS_TOTAL, model=name),
-                    TELEMETRY.counter(SERVING_ROWS_TOTAL, model=name),
-                    TELEMETRY.histogram(
-                        SERVING_LATENCY_SECONDS, model=name
-                    ),
-                )
-                self._telemetry_handles[name] = handles
-            return handles
 
     # ------------------------------------------------------------ monitoring
     def stats(self, name: str) -> dict[str, float]:

@@ -14,7 +14,10 @@ event trail on disk.
 
 Event kinds and their required fields are declared in :data:`SCHEMAS`;
 :meth:`EventLog.emit` validates required fields only when the kind is known,
-so downstream code can add ad-hoc kinds without registering them.
+so downstream code can add ad-hoc kinds without registering them.  The
+counter a kind bumps once per event is declared in :data:`COUNTERS` and
+bumped by ``Telemetry.emit``, so no call site pairs an emit with an
+increment by hand.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import json
 import os
 import time
 from collections import deque
+
+from repro.telemetry import metrics
 
 # ------------------------------------------------------------- event kinds
 #: A concept-drift detector fired.
@@ -79,6 +84,27 @@ SCHEMAS: dict[str, frozenset] = {
     EVALUATION_COMPLETED: frozenset({"model", "dataset", "n_iterations"}),
     SCENARIO_SAMPLED: frozenset({"name", "base", "n_layers"}),
     LABEL_DELAYED_FLUSH: frozenset({"n_flushed", "n_pending"}),
+}
+
+#: Counted kinds: the counter each event of the kind bumps by one, and the
+#: event fields (all required by :data:`SCHEMAS`) whose values label it.
+#: Counters that do not count one per event stay explicit at their call
+#: sites: the DMT candidate store's summed/admitted/evicted amounts and the
+#: registrations counter, which counts only ``action="register"`` swaps.
+COUNTERS: dict[str, tuple[str, tuple[str, ...]]] = {
+    DRIFT_DETECTED: (metrics.DRIFT_DETECTIONS_TOTAL, ("detector",)),
+    ENSEMBLE_MEMBER_DRIFT: (metrics.ENSEMBLE_MEMBER_DRIFTS_TOTAL, ("model",)),
+    TREE_SPLIT: (metrics.TREE_SPLITS_TOTAL, ("model",)),
+    TREE_PRUNE: (metrics.TREE_PRUNES_TOTAL, ("model",)),
+    TREE_ALTERNATE_STARTED: (metrics.TREE_ALTERNATES_STARTED_TOTAL, ("model",)),
+    TREE_SWAP: (metrics.TREE_SWAPS_TOTAL, ("model",)),
+    DMT_SPLIT: (metrics.DMT_SPLITS_TOTAL, ()),
+    DMT_RESPLIT: (metrics.DMT_RESPLITS_TOTAL, ()),
+    DMT_PRUNE: (metrics.DMT_PRUNES_TOTAL, ()),
+    SERVING_PROMOTION: (metrics.SERVING_PROMOTIONS_TOTAL, ("name",)),
+    SERVING_DRIFT: (metrics.SERVING_CHAMPION_DRIFTS_TOTAL, ("name",)),
+    GRID_CELL_COMPLETED: (metrics.EXPERIMENTS_CELLS_TOTAL, ()),
+    EVALUATION_COMPLETED: (metrics.EVALUATION_RUNS_TOTAL, ("model",)),
 }
 
 _RESERVED = frozenset({"kind", "seq", "ts"})

@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from typing import Callable, TypeVar, cast
+from typing import Callable, Generic, Hashable, TypeVar, cast
 
 import numpy as np
 
@@ -287,10 +287,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], Metric] = {}
-        #: Bumped by :meth:`clear`.  Hot call sites that cache metric handles
-        #: (the tracer, the scoring service) compare it to the generation
-        #: they resolved under, so a cleared registry invalidates every
-        #: cached handle instead of silently receiving writes to orphans.
+        #: Bumped by :meth:`clear`.  A :class:`HandleCache` compares it to
+        #: the generation its entries were resolved under, so a cleared
+        #: registry invalidates every cached handle instead of silently
+        #: receiving writes to orphans.
         self.generation = 0
 
     # --------------------------------------------------------------- lookups
@@ -388,3 +388,35 @@ class MetricsRegistry:
             else:
                 lines.append(f"{prom}{_render_labels(labels)} {metric.value!r}")
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+_K = TypeVar("_K", bound=Hashable)
+_H = TypeVar("_H")
+
+
+class HandleCache(Generic[_K, _H]):
+    """Metric handles per key, resolved again after a registry ``clear()``.
+
+    ``resolve(registry, key)`` returns the handle(s) for one key.  An entry
+    keeps the registry generation read *before* it was resolved, so an
+    entry that raced a ``clear()`` is resolved again on its next use, with
+    no lock.  The registry is passed on each call, not held, so a call site
+    outside :mod:`repro.telemetry` reads it under its own
+    ``TELEMETRY.enabled`` guard.  Worth it only where a labelled lookup per
+    call costs measurable time: span exits and scoring requests.
+    """
+
+    __slots__ = ("_resolve", "_entries")
+
+    def __init__(self, resolve: Callable[[MetricsRegistry, _K], _H]) -> None:
+        self._resolve = resolve
+        self._entries: dict[_K, tuple[int, _H]] = {}
+
+    def get(self, registry: MetricsRegistry, key: _K) -> _H:
+        generation = registry.generation
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] == generation:
+            return entry[1]
+        handles = self._resolve(registry, key)
+        self._entries[key] = (generation, handles)
+        return handles

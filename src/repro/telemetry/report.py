@@ -4,10 +4,9 @@ Consumes the layout written by :meth:`Telemetry.export_run` (a directory
 with ``events.jsonl`` / ``metrics.json``) or a bare ``events.jsonl`` file,
 and renders:
 
-* event counts by kind (with first/last sequence numbers),
-* drift/split/prune/promotion highlights, and
-* latency histograms (count, mean, p50/p95/p99, max) for every histogram
-  metric in ``metrics.json``.
+* event counts by kind (with first/last sequence numbers), and
+* latency histograms (count, mean, p50/p95/p99, max) and counter/gauge
+  values for every metric in ``metrics.json``.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 
-from repro.telemetry.events import Event, EventLog
+from repro.telemetry.events import COUNTERS, Event, EventLog
 from repro.telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
@@ -85,7 +85,15 @@ class Telemetry:
         return self.registry.histogram(name, buckets, **labels)
 
     def emit(self, kind: str, **fields: object) -> Event:
-        return self.events.emit(kind, **fields)
+        """Record one event; a kind in ``events.COUNTERS`` bumps its counter."""
+        event = self.events.emit(kind, **fields)
+        counted = COUNTERS.get(kind)
+        if counted is not None:
+            name, labels = counted
+            self.registry.counter(
+                name, **{label: fields[label] for label in labels}
+            ).inc()
+        return event
 
     def span(self, name: str) -> SpanHandle:
         """Timed context manager; the shared no-op when disabled."""

@@ -4,9 +4,12 @@
 duration into a latency histogram labelled with the span's *path* -- nested
 spans concatenate names with ``/`` (per thread), so one export shows e.g.
 ``evaluation.run/model.partial_fit`` separately from a bare
-``model.partial_fit`` issued by the serving layer.
+``model.partial_fit`` issued by the serving layer.  A hot call site that
+guards on ``TELEMETRY.enabled`` itself uses ``TELEMETRY.tracer.call(name,
+fn, *args)`` instead, or :meth:`Tracer.enter`/:meth:`Tracer.exit` around a
+region it already times.
 
-When telemetry is disabled, :meth:`Tracer.span` returns a shared no-op
+When telemetry is disabled, :meth:`Telemetry.span` returns a shared no-op
 context manager: no allocation, no clock reads, nothing but one branch on
 the hot path.
 """
@@ -16,10 +19,15 @@ from __future__ import annotations
 import threading
 from time import perf_counter
 from types import TracebackType
-from typing import TYPE_CHECKING
+from typing import Any, Callable, TypeVar
 
-if TYPE_CHECKING:
-    from repro.telemetry.metrics import Histogram, MetricsRegistry
+from repro.telemetry.metrics import HandleCache, Histogram, MetricsRegistry
+
+_R = TypeVar("_R")
+
+#: What :meth:`Tracer.enter` returns and :meth:`Tracer.exit` takes: the
+#: thread's stack of open span paths, whose top is the span just opened.
+SpanToken = list[str]
 
 #: Histogram receiving one observation per finished span, labelled by path.
 SPAN_METRIC = "repro.trace.span_seconds"
@@ -62,26 +70,20 @@ NOOP_SPAN = _NoopSpan()
 class Span:
     """One active traced region; records its duration on exit.
 
-    Enter/exit are on the enabled hot path (two spans per scoring request),
-    so they keep a reference to the thread's stack instead of re-resolving
-    the thread-local on exit, and read the clock exactly once per side.
+    Entry is :meth:`Tracer.enter`, exit :meth:`Tracer.exit` with the
+    measured duration; the clock is read once per side.
     """
 
-    __slots__ = ("_tracer", "_name", "path", "_started", "_active_stack")
+    __slots__ = ("_tracer", "_name", "_token", "_started")
 
     def __init__(self, tracer: "Tracer", name: str) -> None:
         self._tracer = tracer
         self._name = name
-        self.path = name
+        self._token: SpanToken | None = None
         self._started = 0.0
-        self._active_stack: list[str] | None = None
 
     def __enter__(self) -> "Span":
-        stack = self._tracer._stack()
-        self._active_stack = stack
-        if stack:
-            self.path = stack[-1] + "/" + self._name
-        stack.append(self.path)
+        self._token = self._tracer.enter(self._name)
         self._started = perf_counter()
         return self
 
@@ -92,43 +94,59 @@ class Span:
         tb: TracebackType | None,
     ) -> bool:
         elapsed = perf_counter() - self._started
-        assert self._active_stack is not None  # __enter__ ran
-        self._active_stack.pop()
-        self._tracer._histogram(self.path).observe(elapsed)
+        assert self._token is not None  # __enter__ ran
+        self._tracer.exit(self._token, elapsed)
         return False
 
 
+def _span_histogram(registry: MetricsRegistry, path: str) -> Histogram:
+    return registry.histogram(SPAN_METRIC, span=path)
+
+
 class Tracer:
-    """Per-process tracer writing span durations into a metrics registry."""
+    """Per-process tracer writing span durations into a metrics registry.
+
+    :meth:`enter` and :meth:`exit` are the one span primitive: :class:`Span`,
+    :meth:`call` and the scoring service's span go through them, so a span's
+    path is joined in one place.
+    """
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
         self._local = threading.local()
-        self._histograms: dict[str, Histogram] = {}
-        self._generation = registry.generation
+        self._histograms: HandleCache[str, Histogram] = HandleCache(
+            _span_histogram
+        )
 
-    def _histogram(self, path: str) -> Histogram:
-        """Histogram handle for a span path, cached per registry generation.
+    def enter(self, name: str) -> SpanToken:
+        """Open span ``name`` under this thread's innermost span.
 
-        Span exits are the hottest metric lookup in the package (two per
-        scoring request); caching the resolved handle replaces the registry's
-        label-key construction with one dict read.
+        Returns the token to hand to :meth:`exit` on the same thread, once
+        every span opened after this one has exited.
         """
-        if self._generation != self.registry.generation:
-            self._histograms.clear()
-            self._generation = self.registry.generation
-        histogram = self._histograms.get(path)
-        if histogram is None:
-            histogram = self.registry.histogram(SPAN_METRIC, span=path)
-            self._histograms[path] = histogram
-        return histogram
-
-    def _stack(self) -> list[str]:
         try:
-            stack: list[str] = self._local.stack
+            stack: SpanToken = self._local.stack
         except AttributeError:
             stack = self._local.stack = []
+        stack.append(stack[-1] + "/" + name if stack else name)
         return stack
+
+    def exit(self, token: SpanToken, seconds: float) -> None:
+        """Close the span :meth:`enter` opened; record its ``seconds``."""
+        self._histograms.get(self.registry, token.pop()).observe(seconds)
+
+    def call(self, name: str, fn: Callable[..., _R], *args: Any) -> _R:
+        """``fn(*args)`` timed as span ``name``.
+
+        Cheaper than ``with span(name):`` on a hot path: no context manager
+        is allocated.
+        """
+        token = self.enter(name)
+        started = perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            self.exit(token, perf_counter() - started)
 
     def span(self, name: str) -> Span:
         """A context manager timing ``name`` (nested under active spans)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.persistence.registry import register
-from repro.telemetry import TREE_SPLIT, TREE_SPLITS_TOTAL, TELEMETRY
+from repro.telemetry import TREE_SPLIT, TELEMETRY
 from repro.trees.base import LeafNode, SplitNode
 from repro.trees.hoeffding import hoeffding_bound
 from repro.trees.observers import SplitSuggestion
@@ -203,9 +203,6 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
                 threshold=float(suggestion.threshold),
                 depth=int(leaf.depth),
             )
-            TELEMETRY.counter(
-                TREE_SPLITS_TOTAL, model=type(self).__name__
-            ).inc()
         return new_split
 
     # ----------------------------------------------------------- reevaluate
@@ -293,6 +290,3 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
                 threshold=float(suggestion.threshold),
                 depth=int(node.depth),
             )
-            TELEMETRY.counter(
-                TREE_SPLITS_TOTAL, model=type(self).__name__
-            ).inc()

@@ -33,13 +33,7 @@ from repro.base import ComplexityReport, StreamClassifier
 from repro.drift.page_hinkley import PageHinkley
 from repro.linear.glm import IncrementalGLM
 from repro.persistence.registry import register
-from repro.telemetry import (
-    TREE_PRUNE,
-    TREE_PRUNES_TOTAL,
-    TREE_SPLIT,
-    TREE_SPLITS_TOTAL,
-    TELEMETRY,
-)
+from repro.telemetry import TREE_PRUNE, TREE_SPLIT, TELEMETRY
 from repro.trees.base import tree_depth
 from repro.trees.criteria import VarianceReductionCriterion
 from repro.trees.hoeffding import hoeffding_bound
@@ -279,9 +273,6 @@ class FIMTDDClassifier(StreamClassifier):
                 reason="branch",
                 depth=int(node.depth),
             )
-            TELEMETRY.counter(
-                TREE_PRUNES_TOTAL, model=type(self).__name__
-            ).inc()
 
     def _find_parent(
         self, target: FIMTSplitNode
@@ -347,9 +338,6 @@ class FIMTDDClassifier(StreamClassifier):
                 threshold=float(suggestion.threshold),
                 depth=int(leaf.depth),
             )
-            TELEMETRY.counter(
-                TREE_SPLITS_TOTAL, model=type(self).__name__
-            ).inc()
 
     # ------------------------------------------------------------ inference
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

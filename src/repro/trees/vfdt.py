@@ -28,13 +28,9 @@ from repro.trees.base import (
 from repro.trees.criteria import GiniCriterion, InfoGainCriterion, SplitCriterion
 from repro.telemetry import (
     TREE_ALTERNATE_STARTED,
-    TREE_ALTERNATES_STARTED_TOTAL,
     TREE_PRUNE,
-    TREE_PRUNES_TOTAL,
     TREE_SPLIT,
-    TREE_SPLITS_TOTAL,
     TREE_SWAP,
-    TREE_SWAPS_TOTAL,
     TELEMETRY,
 )
 from repro.trees.hoeffding import hoeffding_bound
@@ -492,9 +488,6 @@ class HoeffdingTreeClassifier(StreamClassifier):
                 threshold=float(suggestion.threshold),
                 depth=int(leaf.depth),
             )
-            TELEMETRY.counter(
-                TREE_SPLITS_TOTAL, model=type(self).__name__
-            ).inc()
         return new_split
 
     def _replace_child(
@@ -512,15 +505,9 @@ class HoeffdingTreeClassifier(StreamClassifier):
         TELEMETRY.emit(
             TREE_ALTERNATE_STARTED, model=type(self).__name__, depth=int(depth)
         )
-        TELEMETRY.counter(
-            TREE_ALTERNATES_STARTED_TOTAL, model=type(self).__name__
-        ).inc()
 
     def _telemetry_swap(self, depth: int) -> None:
         TELEMETRY.emit(TREE_SWAP, model=type(self).__name__, depth=int(depth))
-        TELEMETRY.counter(
-            TREE_SWAPS_TOTAL, model=type(self).__name__
-        ).inc()
 
     def _telemetry_prune(self, reason: str, depth: int) -> None:
         TELEMETRY.emit(
@@ -529,9 +516,6 @@ class HoeffdingTreeClassifier(StreamClassifier):
             reason=reason,
             depth=int(depth),
         )
-        TELEMETRY.counter(
-            TREE_PRUNES_TOTAL, model=type(self).__name__
-        ).inc()
 
     # ------------------------------------------------------------ inference
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -44,14 +44,13 @@ from repro.linear.glm import IncrementalGLM, _softmax
 from repro.linear.naive_bayes import GaussianNaiveBayes
 from repro.telemetry import (
     DMT_CANDIDATES,
+    DMT_CANDIDATES_ADMITTED_TOTAL,
+    DMT_CANDIDATES_EVICTED_TOTAL,
+    DMT_CANDIDATES_SUMMED_TOTAL,
     DMT_PRUNE,
-    DMT_PRUNES_TOTAL,
     DMT_RESPLIT,
-    DMT_RESPLITS_TOTAL,
     DMT_SPLIT,
-    DMT_SPLITS_TOTAL,
     ENSEMBLE_MEMBER_DRIFT,
-    ENSEMBLE_MEMBER_DRIFTS_TOTAL,
     TELEMETRY,
 )
 from repro.trees.base import SplitNode
@@ -192,7 +191,7 @@ class ReferenceCandidateManager(CandidateManager):
             return False
         fresh_features, fresh_thresholds, fresh_losses, fresh_gradients, fresh_counts = fresh
         if TELEMETRY.enabled:
-            self._telemetry_counters()[0].inc(len(fresh_features))
+            TELEMETRY.counter(DMT_CANDIDATES_SUMMED_TOTAL).inc(len(fresh_features))
 
         fresh_gains = np.array(
             [
@@ -265,10 +264,9 @@ class ReferenceCandidateManager(CandidateManager):
                     n_evicted=len(evicted),
                     n_stored=len(self._features),
                 )
-                _, admitted_total, evicted_total = self._telemetry_counters()
-                admitted_total.inc(len(admitted))
+                TELEMETRY.counter(DMT_CANDIDATES_ADMITTED_TOTAL).inc(len(admitted))
                 if evicted:
-                    evicted_total.inc(len(evicted))
+                    TELEMETRY.counter(DMT_CANDIDATES_EVICTED_TOTAL).inc(len(evicted))
         return bool(evicted or admitted)
 
     def _propose_fresh(self, X, augmented):
@@ -394,7 +392,6 @@ class TwoSweepDynamicModelTree(DynamicModelTree):
                     gain=float(gain),
                     depth=int(depth),
                 )
-                TELEMETRY.counter(DMT_SPLITS_TOTAL).inc()
 
     def _try_restructure_inner(self, node, child_losses):
         k = node.model.n_parameters
@@ -415,7 +412,6 @@ class TwoSweepDynamicModelTree(DynamicModelTree):
             node.collapse_to_leaf()
             if TELEMETRY.enabled:
                 TELEMETRY.emit(DMT_PRUNE, gain=float(to_leaf_gain))
-                TELEMETRY.counter(DMT_PRUNES_TOTAL).inc()
         elif resplit_ok:
             node.apply_split(candidate)
             if TELEMETRY.enabled:
@@ -425,7 +421,6 @@ class TwoSweepDynamicModelTree(DynamicModelTree):
                     threshold=float(candidate.threshold),
                     gain=float(resplit_gain),
                 )
-                TELEMETRY.counter(DMT_RESPLITS_TOTAL).inc()
 
 
 def dmt_complexity_walk(model):
@@ -844,10 +839,6 @@ class ReferenceLeveragingBagging(LeveragingBaggingClassifier):
                     member=worst,
                     detector="ADWIN",
                 )
-                TELEMETRY.counter(
-                    ENSEMBLE_MEMBER_DRIFTS_TOTAL,
-                    model=type(self).__name__,
-                ).inc()
 
         return OzaBaggingClassifier.partial_fit(self, X, y, classes=classes)
 
@@ -897,10 +888,6 @@ class ReferenceARF(AdaptiveRandomForestClassifier):
                             member=int(member_idx),
                             detector="ADWIN",
                         )
-                        TELEMETRY.counter(
-                            ENSEMBLE_MEMBER_DRIFTS_TOTAL,
-                            model=type(self).__name__,
-                        ).inc()
 
             weights = self._rng.poisson(self.poisson_lambda, size=len(X))
             mask = weights > 0

@@ -361,8 +361,9 @@ class TestLockDiscipline:
         assert findings == []
 
     def test_handle_cache_rebuilt_outside_lock_flagged(self, tmp_path):
-        """``ScoringService._telemetry_for`` without its lock: a clear racing
-        a write-back resurrects stale-generation handles."""
+        """A lock-owning class that clears and refills a handle cache outside
+        its lock: a clear racing a write-back resurrects stale-generation
+        handles."""
         findings = findings_for(
             tmp_path,
             {

@@ -12,16 +12,24 @@ discipline of the same classes without depending on the scheduler.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.core import DynamicModelTree
 from repro.linear.naive_bayes import GaussianNaiveBayes
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ScoringService
-from repro.telemetry import TELEMETRY
+from repro.telemetry import (
+    SERVING_CHAMPION_DRIFTS_TOTAL,
+    SERVING_DRIFT,
+    SERVING_REQUESTS_TOTAL,
+    SPAN_METRIC,
+    TELEMETRY,
+)
 
 N_THREADS = 8
 N_REQUESTS = 40  # per scorer thread
@@ -115,9 +123,10 @@ def test_scoring_during_hot_swaps_loses_no_counts():
 def test_scoring_during_telemetry_clears_is_consistent():
     """``MetricsRegistry.clear()`` storms never corrupt request counters.
 
-    Every post-clear request lands in fresh counters (the generation
-    check in ``_telemetry_for``), so after a final clear plus a known
-    number of requests the counter holds exactly that number.
+    Every post-clear request lands in fresh counters (the service's handle
+    cache resolves an entry again once the registry generation moved), so
+    after a final clear plus a known number of requests the counter holds
+    exactly that number.
     """
     registry = ModelRegistry()
     registry.register("clf", _ConstantModel(1))
@@ -160,6 +169,85 @@ def test_scoring_during_telemetry_clears_is_consistent():
         assert counter.value == 5
     finally:
         TELEMETRY.disable()
+
+
+def test_spans_requests_and_emits_racing_clears_count_exactly():
+    """Clears racing nested spans, request metrics and counted emits.
+
+    Scorer threads run a DMT through the service (``serving.score`` with the
+    model's span nested in it), one thread emits a counted event in a loop
+    and one clears the registry.  The span and request handle caches take
+    no lock: an entry that raced a clear must be resolved again on its next
+    use.  After a final clear, k requests and j emits read exactly k and j
+    on every series they feed.
+    """
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-3.0, 3.0, size=(400, 2))
+    model = DynamicModelTree(random_state=0)
+    model.partial_fit(X, (np.abs(X[:, 0]) > 1.5).astype(int), classes=[0, 1])
+    registry = ModelRegistry()
+    registry.register("dmt", model)
+    service = ScoringService(registry)
+    X = X[:ROWS]
+    TELEMETRY.enable()
+    start = threading.Barrier(N_THREADS + 2, timeout=60)
+    stop = threading.Event()
+
+    def score() -> None:
+        start.wait()
+        for _ in range(N_REQUESTS):
+            service.predict_proba("dmt", X)
+
+    def emit() -> None:
+        start.wait()
+        while not stop.is_set():
+            TELEMETRY.emit(SERVING_DRIFT, name="stress")
+
+    def clear_storm() -> None:
+        start.wait()
+        while not stop.is_set():
+            TELEMETRY.registry.clear()
+
+    n_requests, n_emits = 7, 5
+    switch_interval = sys.getswitchinterval()
+    # Frequent thread switches make a clear more likely to land between a
+    # cache's generation read and its store.
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=N_THREADS + 2) as pool:
+            background = [pool.submit(emit), pool.submit(clear_storm)]
+            scorers = [pool.submit(score) for _ in range(N_THREADS)]
+            for f in scorers:
+                f.result()
+            stop.set()
+            for f in background:
+                f.result()
+            sys.setswitchinterval(switch_interval)
+
+            TELEMETRY.registry.clear()
+            # One request at a time, on the pool's threads: each thread's
+            # span stack must have come out of the storm balanced.
+            for _ in range(n_requests):
+                pool.submit(service.predict_proba, "dmt", X).result()
+        for _ in range(n_emits):
+            TELEMETRY.emit(SERVING_DRIFT, name="stress")
+
+        metrics = TELEMETRY.registry
+        assert metrics.counter(SERVING_REQUESTS_TOTAL, model="dmt").value == n_requests
+        spans = {
+            record["labels"]["span"]: record["count"]
+            for record in metrics.snapshot()
+            if record["name"] == SPAN_METRIC
+        }
+        assert spans == {
+            "serving.score": n_requests,
+            "serving.score/dmt.predict_proba": n_requests,
+        }
+        drifts = metrics.counter(SERVING_CHAMPION_DRIFTS_TOTAL, name="stress")
+        assert drifts.value == n_emits
+    finally:
+        sys.setswitchinterval(switch_interval)
+        TELEMETRY.reset()
 
 
 def test_stats_readers_race_scorers():

@@ -17,6 +17,7 @@ from repro import telemetry
 from repro.telemetry import (
     DEFAULT_LATENCY_BUCKETS,
     DRIFT_DETECTED,
+    DRIFT_DETECTIONS_TOTAL,
     SERVING_HOT_SWAP,
     TELEMETRY,
     TREE_SPLIT,
@@ -29,6 +30,8 @@ from repro.telemetry import (
     prometheus_name,
     read_jsonl,
 )
+from repro.telemetry.events import COUNTERS, SCHEMAS
+from repro.telemetry.metrics import HandleCache
 from repro.telemetry.report import render_report
 
 
@@ -180,6 +183,44 @@ class TestMetricsRegistry:
         assert bucket_values == sorted(bucket_values)
         assert bucket_values[-1] == 2
 
+    def test_handle_cache_resolves_once_per_generation(self):
+        registry = MetricsRegistry()
+        calls = []
+
+        def resolve(reg, key):
+            calls.append(key)
+            return reg.counter("repro.test.hits_total", key=key)
+
+        cache = HandleCache(resolve)
+        first = cache.get(registry, "a")
+        assert cache.get(registry, "a") is first
+        assert cache.get(registry, "b") is not first
+        registry.clear()
+        fresh = cache.get(registry, "a")
+        assert fresh is not first
+        fresh.inc()
+        assert registry.counter("repro.test.hits_total", key="a").value == 1
+        assert calls == ["a", "b", "a"]
+
+    def test_handle_cache_resolves_again_after_a_racing_clear(self):
+        """An entry resolved while a clear() landed keeps the generation
+        read before it resolved, so its next use resolves it again."""
+        registry = MetricsRegistry()
+
+        def resolve(reg, key):
+            handle = reg.counter("repro.test.hits_total")
+            if reg.generation == 0:
+                reg.clear()  # lands between the generation read and the store
+            return handle
+
+        cache = HandleCache(resolve)
+        orphan = cache.get(registry, "a")
+        live = cache.get(registry, "a")
+        assert live is not orphan
+        assert cache.get(registry, "a") is live
+        live.inc()
+        assert registry.counter("repro.test.hits_total").value == 1
+
     def test_snapshot_sorted_and_json_safe(self):
         registry = MetricsRegistry()
         registry.counter("repro.test.b_total").inc()
@@ -239,6 +280,26 @@ class TestEventLog:
         # The ring only holds 2, but the sink has all 5.
         assert len(read_jsonl(path)) == 5
 
+    def test_counted_kinds_label_by_required_fields(self):
+        for kind, (name, fields) in COUNTERS.items():
+            assert check_metric_name(name).endswith("_total"), kind
+            assert set(fields) <= SCHEMAS[kind], kind
+
+    def test_emit_bumps_the_counter_of_a_counted_kind_only(self):
+        TELEMETRY.enable()
+        TELEMETRY.emit(DRIFT_DETECTED, detector="ADWIN", n_observations=3)
+        TELEMETRY.emit(DRIFT_DETECTED, detector="ADWIN", n_observations=9)
+        TELEMETRY.emit(DRIFT_DETECTED, detector="DDM", n_observations=4)
+        TELEMETRY.emit("custom.kind", detector="ADWIN")
+        counts = {
+            (record["name"], record["labels"]["detector"]): record["value"]
+            for record in TELEMETRY.registry.snapshot()
+        }
+        assert counts == {
+            (DRIFT_DETECTIONS_TOTAL, "ADWIN"): 2.0,
+            (DRIFT_DETECTIONS_TOTAL, "DDM"): 1.0,
+        }
+
     def test_sink_pid_expansion(self, tmp_path):
         import os
 
@@ -270,6 +331,31 @@ class TestRuntime:
         inner = snap[(("span", "outer/inner"),)]
         assert outer["count"] == 1 and inner["count"] == 1
         assert outer["name"] == "repro.trace.span_seconds"
+
+    def test_tracer_call_nests_returns_and_records_on_error(self):
+        TELEMETRY.enable()
+        tracer = TELEMETRY.tracer
+        with TELEMETRY.span("outer"):
+            assert tracer.call("inner", divmod, 7, 2) == (3, 1)
+            with pytest.raises(ZeroDivisionError):
+                tracer.call("inner", divmod, 1, 0)
+            assert tracer.current_path() == "outer"
+        assert tracer.current_path() is None
+        counts = {
+            record["labels"]["span"]: record["count"]
+            for record in TELEMETRY.registry.snapshot()
+        }
+        assert counts == {"outer": 1, "outer/inner": 2}
+
+    def test_tracer_enter_exit_records_the_given_duration(self):
+        TELEMETRY.enable()
+        token = TELEMETRY.tracer.enter("timed")
+        assert TELEMETRY.tracer.current_path() == "timed"
+        TELEMETRY.tracer.exit(token, 0.25)
+        assert TELEMETRY.tracer.current_path() is None
+        (record,) = TELEMETRY.registry.snapshot()
+        assert record["labels"] == {"span": "timed"}
+        assert (record["count"], record["sum"]) == (1, 0.25)
 
     def test_enable_disable_reset(self):
         assert not TELEMETRY.enabled
