@@ -72,6 +72,9 @@ class DynamicModelTree(StreamClassifier):
     (5,)
     """
 
+    #: ``(key, report)`` of the last :meth:`complexity` call; see there.
+    _repro_transient = ("_report",)
+
     def __init__(
         self,
         learning_rate: float = 0.05,
@@ -106,6 +109,10 @@ class DynamicModelTree(StreamClassifier):
         self.random_state = random_state
         self._rng = check_random_state(random_state)
         self.root: DMTNode | None = None
+        self._init_transient()
+
+    def _init_transient(self) -> None:
+        self._report: tuple[tuple[int, ...], ComplexityReport] | None = None
 
     # -------------------------------------------------------------- fitting
     def reset(self) -> "DynamicModelTree":
@@ -278,12 +285,19 @@ class DynamicModelTree(StreamClassifier):
     def complexity(self) -> ComplexityReport:
         """Complexity under the paper's counting rules (Section VI-D2).
 
-        Reads the root's subtree counts (:class:`DMTNode`), without a walk.
+        Reads the root's subtree counts (:class:`DMTNode`), without a walk,
+        and returns the same report while they, the class count and the
+        feature count are unchanged: building the frozen report costs more
+        than the rest of the call.
         """
         root = self.root
         if root is None:
             return ComplexityReport(n_splits=0, n_parameters=0)
         n_inner, n_leaves = root.n_inner, root.n_leaves
+        key = (n_inner, n_leaves, root.height, self.n_classes_, self.n_features_)
+        cached = self._report
+        if cached is not None and cached[0] == key:
+            return cached[1]
         n_classes = max(self.n_classes_, 2)
         # Splits: one per inner node; a linear leaf adds 1 (binary) or c
         # (multiclass) further splits.
@@ -293,13 +307,15 @@ class DynamicModelTree(StreamClassifier):
         per_leaf_params = (
             self.n_features_ if n_classes == 2 else self.n_features_ * n_classes
         )
-        return ComplexityReport(
+        report = ComplexityReport(
             n_splits=n_inner + leaf_split_contrib * n_leaves,
             n_parameters=n_inner + per_leaf_params * n_leaves,
             n_nodes=n_inner + n_leaves,
             n_leaves=n_leaves,
             depth=root.height,
         )
+        self._report = (key, report)
+        return report
 
     @property
     def n_nodes(self) -> int:

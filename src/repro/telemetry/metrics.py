@@ -301,7 +301,12 @@ class MetricsRegistry:
         factory: Callable[[], _M],
         kind: str,
     ) -> _M:
-        key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+        # Most lookups carry no label; skip building a sorted key for them.
+        key = (
+            (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+            if labels
+            else (name, ())
+        )
         # Deliberate unlocked fast path: dict.get on a key never deleted
         # outside clear() is safe under CPython's atomic dict reads, and the
         # slow path re-checks under the lock (classic double-checked lookup).

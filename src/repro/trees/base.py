@@ -10,14 +10,20 @@ Leaves store their attribute statistics in one structure-of-arrays
 :class:`~repro.trees.observers.LeafObservers` store and support both
 per-observation and bulk updates; the two are bit-identical.  Batches are
 routed to the leaves with one partition per split node
-(:func:`route_batch_groups`) instead of one root-to-leaf descent per row,
-mirroring ``DMTNode.route_batch``.
+(:func:`route_batch_groups`), mirroring ``DMTNode.route_batch``; a batch of
+at most :data:`SMALL_BATCH` rows takes one root-to-leaf descent per row
+instead.
+
+:class:`TreeClassifier` is the base of the VFDT family and FIMT-DD.  It
+keeps one :class:`~repro.base.ComplexityReport` per tree structure, counted
+by one walk of the main tree.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.base import ComplexityReport, StreamClassifier
 from repro.linear.naive_bayes import GaussianNaiveBayes
 from repro.persistence.registry import register
 from repro.trees.criteria import SplitCriterion
@@ -25,6 +31,12 @@ from repro.trees.observers import (
     LeafObservers,
     SplitSuggestion,
 )
+from repro.utils.numerics import np_pairwise_sum
+
+#: Batches of at most this many rows are routed by one root-to-leaf descent
+#: per row over plain Python floats: a mask partition touches every split
+#: node below, which costs more than a handful of descents.
+SMALL_BATCH = 8
 
 
 def ensure_length(array: np.ndarray, length: int) -> np.ndarray:
@@ -202,44 +214,46 @@ class LeafNode:
             self._naive_bayes.update(X, y_idx)
 
     # -------------------------------------------------------------- predict
+    @property
+    def uses_naive_bayes(self) -> bool:
+        """Whether the leaf predicts with Naive Bayes, not the majority class.
+
+        An ``"nba"`` leaf uses Naive Bayes only while it has been at least as
+        accurate as the majority class.
+        """
+        if self.leaf_prediction == "mc" or self._naive_bayes is None:
+            return False
+        return self.leaf_prediction == "nb" or self._nb_correct >= self._mc_correct
+
     def predict_proba(self, x: np.ndarray, n_classes: int) -> np.ndarray:
+        if self.uses_naive_bayes:
+            return self.predict_proba_batch(x.reshape(1, -1), n_classes)[0]
         dist = ensure_length(self.class_dist, n_classes)
         total = dist.sum()
-        majority = (
-            np.full(n_classes, 1.0 / n_classes) if total == 0 else dist / total
-        )
-        if self.leaf_prediction == "mc" or self._naive_bayes is None:
-            return majority
-        nb_proba = np.zeros(n_classes)
-        raw = self._naive_bayes.predict_proba(x.reshape(1, -1))[0]
-        nb_proba[: len(raw)] = raw
-        if self.leaf_prediction == "nb":
-            return nb_proba
-        # Adaptive: use Naive Bayes only if it has been at least as accurate.
-        return nb_proba if self._nb_correct >= self._mc_correct else majority
+        return np.full(n_classes, 1.0 / n_classes) if total == 0 else dist / total
 
     def predict_proba_batch(self, X: np.ndarray, n_classes: int) -> np.ndarray:
-        """Probabilities for a whole sub-batch routed to this leaf.
+        """Naive Bayes probabilities of a sub-batch routed to this leaf.
 
-        Bit-identical to :meth:`predict_proba` per row: the majority vector
-        is shared by every row and the batched Naive Bayes likelihoods use
-        the same per-row reductions as the single-row call.
+        For a leaf that :attr:`uses_naive_bayes`; bit-identical to
+        :meth:`predict_proba` per row, since the batched likelihoods use the
+        same per-row reductions as a one-row call.
         """
-        dist = ensure_length(self.class_dist, n_classes)
-        total = dist.sum()
-        majority = (
-            np.full(n_classes, 1.0 / n_classes) if total == 0 else dist / total
-        )
-        if self.leaf_prediction == "mc" or self._naive_bayes is None:
-            return np.broadcast_to(majority, (len(X), n_classes))
         raw = self._naive_bayes.predict_proba(X)
         nb_proba = np.zeros((len(X), n_classes))
         nb_proba[:, : raw.shape[1]] = raw
-        if self.leaf_prediction == "nb":
-            return nb_proba
-        if self._nb_correct >= self._mc_correct:
-            return nb_proba
-        return np.broadcast_to(majority, (len(X), n_classes))
+        return nb_proba
+
+    def majority_proba(self, n_classes: int, width: int) -> list[float]:
+        """The majority-class row ``dist / total``, cut to ``width`` classes
+        and renormalised, as :func:`normalised_row` computes it."""
+        dist = self.class_dist.tolist()
+        if len(dist) < n_classes:
+            dist += [0.0] * (n_classes - len(dist))
+        total = np_pairwise_sum(dist)
+        if total == 0:
+            return normalised_row([1.0 / n_classes] * width)
+        return normalised_row([value / total for value in dist[:width]])
 
     # ---------------------------------------------------------------- split
     def best_split_suggestions(
@@ -313,22 +327,28 @@ class SplitNode:
 
 
 def route_batch_groups(
-    root, X: np.ndarray, rows: np.ndarray | None = None
-) -> list[tuple[object, np.ndarray]]:
-    """Partition a batch into per-node row groups in one sweep.
+    root, X: np.ndarray
+) -> list[tuple[object, np.ndarray | list[int]]]:
+    """Group the rows of a batch by the node they reach.
 
-    Instead of walking the tree once per row, the batch is partitioned with a
-    boolean mask at every split node on the way down, so each observation is
-    touched once per tree level with vectorized comparisons (the recipe of
-    ``DMTNode.route_batch_groups``).  Returns ``(node, rows)`` pairs covering
-    every requested row exactly once, where ``node`` is a leaf -- or a split
-    node with a missing child, which callers handle like the per-row loops
-    did.  Row indices stay in ascending order within each group.
+    Returns ``(node, rows)`` pairs covering every row exactly once, where
+    ``node`` is a leaf -- or a split node whose child on the routed branch is
+    missing, which callers handle like the per-row loops did (one group per
+    such branch).  Row indices stay in ascending order within each group;
+    the order of the groups is unspecified.
+
+    A batch of at most :data:`SMALL_BATCH` rows takes one root-to-leaf
+    descent per row over ``X.tolist()`` and gets its row indices as lists.
+    A larger batch is partitioned with a boolean mask at every split node on
+    the way down, so each observation is touched once per tree level with
+    vectorized comparisons (the recipe of ``DMTNode.route_batch_groups``),
+    and gets index arrays.  Routing has no floating-point accumulation, so
+    both land every row on the same node.
     """
-    if rows is None:
-        rows = np.arange(len(X))
+    if len(X) <= SMALL_BATCH:
+        return _descend_rows(root, X)
     groups: list[tuple[object, np.ndarray]] = []
-    stack: list[tuple[object, np.ndarray]] = [(root, rows)]
+    stack: list[tuple[object, np.ndarray]] = [(root, np.arange(len(X)))]
     while stack:
         node, node_rows = stack.pop()
         if not isinstance(node, SplitNode):
@@ -347,33 +367,128 @@ def route_batch_groups(
     return groups
 
 
-def iter_nodes(root) -> list:
-    """All nodes of a (possibly mixed) tree in pre-order."""
-    if root is None:
-        return []
-    nodes = [root]
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        children = getattr(node, "children", None)
-        if children:
-            for child in children:
-                if child is not None:
-                    nodes.append(child)
-                    stack.append(child)
-        alternate = getattr(node, "alternate_tree", None)
-        if alternate is not None:
-            nodes.append(alternate)
-            stack.append(alternate)
-    return nodes
+def _descend_rows(root, X: np.ndarray) -> list[tuple[object, list[int]]]:
+    """:func:`route_batch_groups` by one descent per row."""
+    groups: dict[object, tuple[object, list[int]]] = {}
+    for row, values in enumerate(X.tolist()):
+        node, key = root, None
+        while isinstance(node, SplitNode):
+            value = values[node.feature]
+            if node.is_nominal:
+                branch = 0 if value == node.threshold else 1
+            else:
+                branch = 0 if value <= node.threshold else 1
+            child = node.children[branch]
+            if child is None:
+                key = (id(node), branch)
+                break
+            node = child
+        groups.setdefault(key or id(node), (node, []))[1].append(row)
+    return list(groups.values())
 
 
-def tree_depth(root) -> int:
-    """Maximum depth of the tree rooted at ``root`` (leaf-only tree = 0)."""
-    if root is None:
-        return 0
-    children = getattr(root, "children", None)
-    if not children:
-        return 0
-    child_depths = [tree_depth(child) for child in children if child is not None]
-    return 1 + (max(child_depths) if child_depths else 0)
+def normalised_row(row: list[float]) -> list[float]:
+    """``row`` divided by its sum, or ``row`` itself if it sums to 0.
+
+    Bit for bit what dividing a probability array by its row sums gives:
+    :func:`~repro.utils.numerics.np_pairwise_sum` adds the values in
+    numpy's order (left to right below 8 values, pairwise above).
+    """
+    total = np_pairwise_sum(row)
+    if total == 0.0:
+        return row
+    return [value / total for value in row]
+
+
+class TreeClassifier(StreamClassifier):
+    """Base of the VFDT family and FIMT-DD: one complexity report per structure.
+
+    The tree lives in ``root``.  :meth:`complexity` builds its report with
+    one walk of the main tree and returns the same report until the class
+    count changes or :meth:`_structure_changed` drops it:
+    :meth:`_replace_child` does, and a subclass's ``_new_leaf`` must.  The
+    report is a cache: it is not persisted, and a loaded model walks again.
+    """
+
+    _repro_transient = ("_report",)
+
+    #: Whether every leaf predicts the majority class (one parameter, no
+    #: split) rather than holding a classifier.
+    majority_leaves = False
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._report: tuple[int, ComplexityReport] | None = None
+
+    def _init_transient(self) -> None:
+        self._report = None
+
+    def _structure_changed(self) -> None:
+        self._report = None
+
+    def _replace_child(self, parent, branch: int, new_node) -> None:
+        """Put ``new_node`` on ``parent``'s ``branch``, or at the root."""
+        self._structure_changed()
+        if parent is None:
+            self.root = new_node
+        else:
+            parent.children[branch] = new_node
+
+    def complexity(self) -> ComplexityReport:
+        """Complexity under the paper's counting rules (Section VI-D2)."""
+        cached = self._report
+        if cached is not None and cached[0] == self.n_classes_:
+            return cached[1]
+        report = self._count_complexity()
+        self._report = (self.n_classes_, report)
+        return report
+
+    def _count_complexity(self) -> ComplexityReport:
+        """The report counted by one walk of the main tree.
+
+        The walk follows ``children`` only: HT-Ada's alternate trees and
+        EFDT's statistics holders are not part of the tree.  A node without
+        ``children`` is a leaf; a split node adds a level even where its
+        children are missing.
+        """
+        if self.root is None:
+            return ComplexityReport(n_splits=0, n_parameters=0)
+        n_inner = n_leaves = depth = 0
+        stack = [(self.root, 0)]
+        while stack:
+            node, level = stack.pop()
+            children = getattr(node, "children", None)
+            if children is None:
+                n_leaves += 1
+                depth = max(depth, level)
+                continue
+            n_inner += 1
+            depth = max(depth, level + 1)
+            stack.extend((child, level + 1) for child in children if child is not None)
+        if self.majority_leaves:
+            leaf_splits, leaf_params = 0, 1
+        else:
+            # A leaf classifier adds one split (binary) or c splits, and m
+            # parameters per class it models.
+            n_classes = max(self.n_classes_, 2)
+            leaf_splits = 1 if n_classes == 2 else n_classes
+            leaf_params = self.n_features_ * leaf_splits
+        return ComplexityReport(
+            n_splits=n_inner + leaf_splits * n_leaves,
+            n_parameters=n_inner + leaf_params * n_leaves,
+            n_nodes=n_inner + n_leaves,
+            n_leaves=n_leaves,
+            depth=depth,
+        )
+
+    @property
+    def n_nodes(self) -> int:
+        return self.complexity().n_nodes
+
+    @property
+    def n_leaves(self) -> int:
+        return self.complexity().n_leaves
+
+    @property
+    def depth(self) -> int:
+        return self.complexity().depth

@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.base import ComplexityReport, StreamClassifier
 from repro.drift.page_hinkley import PageHinkley
 from repro.linear.glm import IncrementalGLM
 from repro.persistence.registry import register
 from repro.telemetry import TREE_PRUNE, TREE_SPLIT, TELEMETRY
-from repro.trees.base import tree_depth
+from repro.trees.base import TreeClassifier
 from repro.trees.criteria import VarianceReductionCriterion
 from repro.trees.hoeffding import hoeffding_bound
 from repro.trees.observers import LeafObservers, SplitSuggestion
@@ -121,7 +120,7 @@ class FIMTSplitNode:
         return X[rows, self.feature] <= self.threshold
 
 
-class FIMTDDClassifier(StreamClassifier):
+class FIMTDDClassifier(TreeClassifier):
     """FIMT-DD model tree adapted to binary / multiclass classification.
 
     Parameters
@@ -190,6 +189,7 @@ class FIMTDDClassifier(StreamClassifier):
         return self
 
     def _new_leaf(self, depth: int, model: IncrementalGLM | None = None) -> FIMTLeaf:
+        self._structure_changed()
         if model is None:
             model = IncrementalGLM(
                 n_features=self.n_features_,
@@ -260,11 +260,7 @@ class FIMTDDClassifier(StreamClassifier):
     def _prune_branch(self, node: FIMTSplitNode, branch_in_parent: int) -> None:
         """Delete the branch rooted at ``node`` (second FIMT-DD drift strategy)."""
         parent, branch = self._find_parent(node)
-        replacement = self._new_leaf(depth=node.depth)
-        if parent is None:
-            self.root = replacement
-        else:
-            parent.children[branch] = replacement
+        self._replace_child(parent, branch, self._new_leaf(depth=node.depth))
         self.n_pruned_branches += 1
         if TELEMETRY.enabled:
             TELEMETRY.emit(
@@ -325,10 +321,7 @@ class FIMTDDClassifier(StreamClassifier):
             new_split.children[child_idx] = self._new_leaf(
                 depth=leaf.depth + 1, model=leaf.model.clone(warm_start=True)
             )
-        if parent is None:
-            self.root = new_split
-        else:
-            parent.children[branch] = new_split
+        self._replace_child(parent, branch, new_split)
         self.n_split_events += 1
         if TELEMETRY.enabled:
             TELEMETRY.emit(
@@ -371,41 +364,3 @@ class FIMTDDClassifier(StreamClassifier):
         # sums to 0.
         row_sums = proba.sum(axis=1, keepdims=True)
         return proba / row_sums
-
-    # ------------------------------------------------------- interpretability
-    def _nodes(self) -> list:
-        if self.root is None:
-            return []
-        nodes = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            if isinstance(node, FIMTSplitNode):
-                stack.extend(child for child in node.children if child is not None)
-        return nodes
-
-    def complexity(self) -> ComplexityReport:
-        if self.root is None:
-            return ComplexityReport(n_splits=0, n_parameters=0)
-        nodes = self._nodes()
-        n_inner = sum(1 for node in nodes if isinstance(node, FIMTSplitNode))
-        n_leaves = sum(1 for node in nodes if isinstance(node, FIMTLeaf))
-        n_classes = max(self.n_classes_, 2)
-        leaf_splits = 1 if n_classes == 2 else n_classes
-        leaf_params = self.n_features_ * (1 if n_classes == 2 else n_classes)
-        return ComplexityReport(
-            n_splits=n_inner + leaf_splits * n_leaves,
-            n_parameters=n_inner + leaf_params * n_leaves,
-            n_nodes=n_inner + n_leaves,
-            n_leaves=n_leaves,
-            depth=tree_depth(self.root) if hasattr(self.root, "children") else 0,
-        )
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self._nodes())
-
-    @property
-    def n_leaves(self) -> int:
-        return sum(1 for node in self._nodes() if isinstance(node, FIMTLeaf))

@@ -16,17 +16,19 @@ subtree predictions -- which the per-row recursion recomputes at *every*
 node of the path, an ``O(depth^2)`` walk -- collapse to a single leaf
 evaluation, because every main-path node predicts through the same leaf.
 The result is bit-identical to the recursion.
+
+``complexity()``, ``n_nodes``, ``n_leaves`` and ``depth`` count the main tree
+only: an alternate subtree is not part of the model until it is swapped in.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.base import ComplexityReport
 from repro.drift.adwin import ADWIN
 from repro.persistence.registry import register
 from repro.telemetry import TELEMETRY
-from repro.trees.base import LeafNode, SplitNode, tree_depth
+from repro.trees.base import LeafNode, SplitNode
 from repro.trees.observers import SplitSuggestion
 from repro.trees.vfdt import HoeffdingTreeClassifier
 from repro.utils.numerics import np_pairwise_sum
@@ -121,6 +123,7 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
     def _new_leaf(
         self, depth: int, initial_dist: np.ndarray | None = None
     ) -> AdaLeafNode:
+        self._structure_changed()
         return AdaLeafNode(
             n_classes=max(self.n_classes_, 2),
             n_features=self.n_features_,
@@ -454,43 +457,7 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
             start = restart_at
 
     def _replace_child(self, parent, branch: int, new_node) -> None:
-        if parent is None:
-            self.root = new_node
-        elif branch == -1:
+        if branch == -1:
             parent.alternate_tree = new_node
         else:
-            parent.children[branch] = new_node
-
-    # ------------------------------------------------------- interpretability
-    def _main_tree_nodes(self) -> list:
-        """Nodes of the main tree only (alternate subtrees are excluded)."""
-        if self.root is None:
-            return []
-        nodes = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            if isinstance(node, SplitNode):
-                stack.extend(child for child in node.children if child is not None)
-        return nodes
-
-    def complexity(self) -> ComplexityReport:
-        if self.root is None:
-            return ComplexityReport(n_splits=0, n_parameters=0)
-        nodes = self._main_tree_nodes()
-        n_inner = sum(1 for node in nodes if isinstance(node, SplitNode))
-        n_leaves = sum(1 for node in nodes if isinstance(node, LeafNode))
-        n_classes = max(self.n_classes_, 2)
-        if self.leaf_prediction == "mc":
-            leaf_splits, leaf_params = 0, 1
-        else:
-            leaf_splits = 1 if n_classes == 2 else n_classes
-            leaf_params = self.n_features_ * (1 if n_classes == 2 else n_classes)
-        return ComplexityReport(
-            n_splits=n_inner + leaf_splits * n_leaves,
-            n_parameters=n_inner + leaf_params * n_leaves,
-            n_nodes=n_inner + n_leaves,
-            n_leaves=n_leaves,
-            depth=tree_depth(self.root),
-        )
+            super()._replace_child(parent, branch, new_node)

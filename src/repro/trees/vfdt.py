@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.base import ComplexityReport, StreamClassifier
 from repro.trees.base import (
+    SMALL_BATCH,
     LeafNode,
     SplitNode,
-    iter_nodes,
+    TreeClassifier,
+    normalised_row,
     route_batch_groups,
-    tree_depth,
 )
 from repro.trees.criteria import GiniCriterion, InfoGainCriterion, SplitCriterion
 from repro.telemetry import (
@@ -41,7 +41,7 @@ from repro.utils.validation import check_in_range, check_positive
 _CRITERIA = {"info_gain": InfoGainCriterion, "gini": GiniCriterion}
 
 
-class HoeffdingTreeClassifier(StreamClassifier):
+class HoeffdingTreeClassifier(TreeClassifier):
     """Incremental Hoeffding Tree for streaming classification.
 
     Parameters
@@ -111,9 +111,14 @@ class HoeffdingTreeClassifier(StreamClassifier):
         self.n_split_events = 0
         return self
 
+    @property
+    def majority_leaves(self) -> bool:
+        return self.leaf_prediction == "mc"
+
     def _new_leaf(
         self, depth: int, initial_dist: np.ndarray | None = None
     ) -> LeafNode:
+        self._structure_changed()
         return LeafNode(
             n_classes=max(self.n_classes_, 2),
             n_features=self.n_features_,
@@ -154,7 +159,7 @@ class HoeffdingTreeClassifier(StreamClassifier):
         while stack:
             node, parent, branch, rows = stack.pop()
             if isinstance(node, SplitNode):
-                if len(rows) <= 8:
+                if len(rows) <= SMALL_BATCH:
                     X_list, _ = self._batch_lists(X, y_idx, lists_cache)
                     # A mask partition touches every split node below; for a
                     # handful of rows a per-row descent over plain Python
@@ -490,14 +495,6 @@ class HoeffdingTreeClassifier(StreamClassifier):
             )
         return new_split
 
-    def _replace_child(
-        self, parent: SplitNode | None, branch: int, new_node
-    ) -> None:
-        if parent is None:
-            self.root = new_node
-        else:
-            parent.children[branch] = new_node
-
     # ------------------------------------------------------------ telemetry
     # Call sites must guard on ``TELEMETRY.enabled`` so the disabled path
     # stays a single attribute read.
@@ -519,26 +516,55 @@ class HoeffdingTreeClassifier(StreamClassifier):
 
     # ------------------------------------------------------------ inference
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Class probabilities, one row computed per node the batch reaches.
+
+        A majority-class leaf's row (:meth:`LeafNode.majority_proba`) and a
+        split node's fallback are computed once over Python floats and
+        written to all of the node's rows; a Naive Bayes leaf scores its
+        rows in one batched call.  Each row is cut to the known classes and
+        renormalised, bit for bit as a per-row walk does.
+        """
         X, _ = self._validate_input(X)
         if self.root is None or self.classes_ is None:
             raise RuntimeError("predict_proba() called before partial_fit().")
         n_classes = max(self.n_classes_, 2)
-        proba = np.zeros((len(X), self.n_classes_))
-        for node, rows in route_batch_groups(self.root, X):
-            if isinstance(node, SplitNode):
-                # Missing child on the routed branch: fall back to the split
-                # node's class distribution, as a per-row walk does when it
-                # cannot descend further.
-                proba[rows] = self._split_node_proba(node, n_classes)[
-                    : self.n_classes_
-                ]
+        width = self.n_classes_
+        groups = route_batch_groups(self.root, X)
+        if len(X) > SMALL_BATCH:
+            proba = np.empty((len(X), width))
+            for node, rows in groups:
+                proba[rows] = self._node_proba(node, X, rows, n_classes, width)
+            return proba
+        # A handful of rows: one conversion of Python rows costs less than
+        # a fancy assignment per node.
+        out: list = [None] * len(X)
+        for node, rows in groups:
+            node_proba = self._node_proba(node, X, rows, n_classes, width)
+            if isinstance(node_proba, np.ndarray):
+                for row, values in zip(rows, node_proba.tolist()):
+                    out[row] = values
             else:
-                proba[rows] = node.predict_proba_batch(X[rows], n_classes)[
-                    :, : self.n_classes_
-                ]
-        row_sums = proba.sum(axis=1, keepdims=True)
-        row_sums[row_sums == 0.0] = 1.0
-        return proba / row_sums
+                for row in rows:
+                    out[row] = node_proba
+        return np.array(out)
+
+    def _node_proba(
+        self, node, X: np.ndarray, rows, n_classes: int, width: int
+    ) -> np.ndarray | list[float]:
+        """One row shared by ``rows``, or a Naive Bayes leaf's row per row."""
+        if isinstance(node, SplitNode):
+            # Missing child on the routed branch: fall back to the split
+            # node's class distribution, as a per-row walk does when it
+            # cannot descend further.
+            return normalised_row(
+                self._split_node_proba(node, n_classes)[:width].tolist()
+            )
+        if node.uses_naive_bayes:
+            block = node.predict_proba_batch(X[rows], n_classes)[:, :width]
+            row_sums = block.sum(axis=1, keepdims=True)
+            row_sums[row_sums == 0.0] = 1.0
+            return block / row_sums
+        return node.majority_proba(n_classes, width)
 
     @staticmethod
     def _split_node_proba(node: SplitNode, n_classes: int) -> np.ndarray:
@@ -547,43 +573,3 @@ class HoeffdingTreeClassifier(StreamClassifier):
         if total == 0:
             return np.full(n_classes, 1.0 / n_classes)
         return np.pad(dist, (0, max(n_classes - len(dist), 0)))[:n_classes] / total
-
-    # ------------------------------------------------------- interpretability
-    def _count_nodes(self) -> tuple[int, int]:
-        nodes = iter_nodes(self.root)
-        n_inner = sum(1 for node in nodes if isinstance(node, SplitNode))
-        n_leaves = sum(1 for node in nodes if isinstance(node, LeafNode))
-        return n_inner, n_leaves
-
-    def complexity(self) -> ComplexityReport:
-        """Complexity under the paper's counting rules (Section VI-D2)."""
-        if self.root is None:
-            return ComplexityReport(n_splits=0, n_parameters=0)
-        n_inner, n_leaves = self._count_nodes()
-        n_classes = max(self.n_classes_, 2)
-        if self.leaf_prediction == "mc":
-            leaf_splits = 0
-            leaf_params = 1
-        else:
-            leaf_splits = 1 if n_classes == 2 else n_classes
-            leaf_params = self.n_features_ * (1 if n_classes == 2 else n_classes)
-        return ComplexityReport(
-            n_splits=n_inner + leaf_splits * n_leaves,
-            n_parameters=n_inner + leaf_params * n_leaves,
-            n_nodes=n_inner + n_leaves,
-            n_leaves=n_leaves,
-            depth=tree_depth(self.root),
-        )
-
-    @property
-    def n_nodes(self) -> int:
-        n_inner, n_leaves = self._count_nodes()
-        return n_inner + n_leaves
-
-    @property
-    def n_leaves(self) -> int:
-        return self._count_nodes()[1]
-
-    @property
-    def depth(self) -> int:
-        return tree_depth(self.root)

@@ -53,9 +53,9 @@ from repro.telemetry import (
     ENSEMBLE_MEMBER_DRIFT,
     TELEMETRY,
 )
-from repro.trees.base import SplitNode
+from repro.trees.base import LeafNode, SplitNode
 from repro.trees.efdt import ExtremelyFastDecisionTreeClassifier
-from repro.trees.fimtdd import FIMTDDClassifier, FIMTSplitNode
+from repro.trees.fimtdd import FIMTDDClassifier, FIMTLeaf, FIMTSplitNode
 from repro.trees.hat import HoeffdingAdaptiveTreeClassifier
 from repro.trees.observers import (
     GaussianAttributeObserver,
@@ -575,6 +575,49 @@ def _partial_fit_per_row(self, X, y, classes=None):
     for row in range(len(X)):
         self._learn_one(X[row], int(y_idx[row]))
     return self
+
+
+def tree_nodes(root):
+    """Every node of a baseline tree reachable through ``children``, in pre-order."""
+    if root is None:
+        return []
+    nodes = [root]
+    for child in getattr(root, "children", ()):
+        if child is not None:
+            nodes.extend(tree_nodes(child))
+    return nodes
+
+
+def tree_complexity_walk(model):
+    """A Hoeffding tree's or FIMT-DD's ``complexity()``, counted by a walk."""
+    if model.root is None:
+        return ComplexityReport(n_splits=0, n_parameters=0)
+    nodes = tree_nodes(model.root)
+    inner = [node for node in nodes if isinstance(node, (SplitNode, FIMTSplitNode))]
+    leaves = [node for node in nodes if isinstance(node, (LeafNode, FIMTLeaf))]
+    assert len(inner) + len(leaves) == len(nodes)
+    n_classes = max(model.n_classes_, 2)
+    if getattr(model, "leaf_prediction", None) == "mc":
+        leaf_splits, leaf_params = 0, 1
+    else:
+        leaf_splits = 1 if n_classes == 2 else n_classes
+        leaf_params = model.n_features_ * leaf_splits
+
+    def height(node):
+        children = getattr(node, "children", None)
+        if children is None:
+            return 0
+        return 1 + max(
+            (height(child) for child in children if child is not None), default=0
+        )
+
+    return ComplexityReport(
+        n_splits=len(inner) + leaf_splits * len(leaves),
+        n_parameters=len(inner) + leaf_params * len(leaves),
+        n_nodes=len(nodes),
+        n_leaves=len(leaves),
+        depth=height(model.root),
+    )
 
 
 def _predict_proba_per_row(self, X):

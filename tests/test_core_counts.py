@@ -34,6 +34,8 @@ def _assert_counts_match_a_walk(model, epsilon=1e-8):
     assert model.complexity() == dmt_complexity_walk(model)
     if model.root is None:
         return
+    # One report per structure: an unchanged tree returns the same object.
+    assert model.complexity() is model.complexity()
     nodes = model.root.subtree_nodes()
     assert model.n_nodes == len(nodes)
     assert model.n_leaves == len(model.root.subtree_leaves())

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.streams.synthetic import SEAGenerator
-from repro.trees.base import LeafNode, iter_nodes
+from repro.trees.base import LeafNode
 from repro.trees.efdt import EFDTSplitNode, ExtremelyFastDecisionTreeClassifier
 from repro.trees.hat import HoeffdingAdaptiveTreeClassifier
 from repro.trees.vfdt import HoeffdingTreeClassifier
 from tests.conftest import make_multiclass_blobs, make_xor
+from tests.oracles import tree_nodes
 
 
 def _stream_fit(model, X, y, classes, batch=100):
@@ -56,7 +57,7 @@ class TestHoeffdingAdaptiveTree:
         model = HoeffdingAdaptiveTreeClassifier(grace_period=100)
         _stream_fit(model, X, y, [0, 1], batch=100)
         report = model.complexity()
-        main_nodes = len(model._main_tree_nodes())
+        main_nodes = len(tree_nodes(model.root))
         assert report.n_nodes == main_nodes
 
     def test_reset(self):
@@ -127,7 +128,7 @@ class TestEFDT:
         model = _stream_fit(
             ExtremelyFastDecisionTreeClassifier(grace_period=100), X, y, [0, 1]
         )
-        nodes = iter_nodes(model.root)
+        nodes = tree_nodes(model.root)
         splits = [node for node in nodes if isinstance(node, EFDTSplitNode)]
         assert len(splits) >= 2 and model.n_reevaluations > 0
 

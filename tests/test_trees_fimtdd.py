@@ -5,6 +5,7 @@ import pytest
 
 from repro.trees.fimtdd import FIMTDDClassifier, FIMTLeaf, FIMTSplitNode
 from tests.conftest import make_linear_binary, make_multiclass_blobs, make_xor
+from tests.oracles import tree_nodes
 
 
 def _stream_fit(model, X, y, classes, batch=100):
@@ -120,7 +121,7 @@ class TestComplexityCounting:
         X, y = make_xor(8000, seed=6)
         model = FIMTDDClassifier(grace_period=200, random_state=6)
         _stream_fit(model, X, y, [0, 1])
-        nodes = model._nodes()
+        nodes = tree_nodes(model.root)
         n_inner = sum(1 for node in nodes if isinstance(node, FIMTSplitNode))
         n_leaves = sum(1 for node in nodes if isinstance(node, FIMTLeaf))
         report = model.complexity()
