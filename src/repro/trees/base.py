@@ -8,11 +8,12 @@ prune.
 
 Leaves store their attribute statistics in one structure-of-arrays
 :class:`~repro.trees.observers.LeafObservers` store and support both
-per-observation and bulk updates; the two are bit-identical.  Batches are
-routed to the leaves with one partition per split node
-(:func:`route_batch_groups`), mirroring ``DMTNode.route_batch``; a batch of
-at most :data:`SMALL_BATCH` rows takes one root-to-leaf descent per row
-instead.
+per-observation and bulk updates; the two are bit-identical.
+:func:`route_batch_groups` is the family's one router, for training and
+inference: it groups a batch's rows by the leaf, or the missing child's
+slot, they reach, with one partition per split node (mirroring
+``DMTNode.route_batch``) or, for at most :data:`SMALL_BATCH` rows, one
+root-to-leaf descent per row.
 
 :class:`TreeClassifier` is the base of the VFDT family and FIMT-DD.  It
 keeps one :class:`~repro.base.ComplexityReport` per tree structure, counted
@@ -315,75 +316,74 @@ class SplitNode:
             return 0 if value == self.threshold else 1
         return 0 if value <= self.threshold else 1
 
-    def branch_mask(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Boolean left-branch mask of ``X[rows]`` (one comparison per row)."""
-        column = X[rows, self.feature]
-        if self.is_nominal:
-            return column == self.threshold
-        return column <= self.threshold
-
     def child_for(self, x: np.ndarray):
         return self.children[self.branch_for(x)]
 
 
 def route_batch_groups(
-    root, X: np.ndarray
-) -> list[tuple[object, np.ndarray | list[int]]]:
-    """Group the rows of a batch by the node they reach.
+    root, X: np.ndarray, rows=None, parent=None, branch: int = 0
+) -> list[tuple[object, object, int, np.ndarray | list[int]]]:
+    """Group the rows of a batch by the slot of the tree they reach.
 
-    Returns ``(node, rows)`` pairs covering every row exactly once, where
-    ``node`` is a leaf -- or a split node whose child on the routed branch is
-    missing, which callers handle like the per-row loops did (one group per
-    such branch).  Row indices stay in ascending order within each group;
-    the order of the groups is unspecified.
+    Routes ``rows`` of ``X`` (every row by default) from ``root``, which
+    sits on ``parent``'s ``branch`` (``parent`` is ``None`` at the root).
+    Returns ``(node, parent, branch, rows)`` groups covering every routed
+    row exactly once: ``node`` is the leaf at ``parent.children[branch]``,
+    or ``None`` where that child is missing -- training creates the leaf
+    there, inference falls back to ``parent``'s class distribution.  Row
+    indices stay in ascending order within each group; the order of the
+    groups is unspecified.
 
-    A batch of at most :data:`SMALL_BATCH` rows takes one root-to-leaf
-    descent per row over ``X.tolist()`` and gets its row indices as lists.
-    A larger batch is partitioned with a boolean mask at every split node on
-    the way down, so each observation is touched once per tree level with
-    vectorized comparisons (the recipe of ``DMTNode.route_batch_groups``),
-    and gets index arrays.  Routing has no floating-point accumulation, so
-    both land every row on the same node.
+    At most :data:`SMALL_BATCH` rows take one root-to-leaf descent per row
+    over plain Python floats and get their row indices as lists.  More rows
+    are partitioned with a boolean mask at every split node on the way down,
+    so each row is touched once per tree level with vectorized comparisons
+    (the recipe of ``DMTNode.route_batch_groups``), and get index arrays.
+    Routing has no floating-point accumulation, so both land every row in
+    the same slot.  A row goes left where ``x[feature] <= threshold``
+    (nominal: ``==``), as :meth:`SplitNode.branch_for` routes one row.
     """
-    if len(X) <= SMALL_BATCH:
-        return _descend_rows(root, X)
-    groups: list[tuple[object, np.ndarray]] = []
-    stack: list[tuple[object, np.ndarray]] = [(root, np.arange(len(X)))]
+    if rows is None:
+        if len(X) <= SMALL_BATCH:
+            return _descend_rows(root, X.tolist(), range(len(X)), parent, branch)
+    elif len(rows) <= SMALL_BATCH:
+        row_ids = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        return _descend_rows(root, X[rows].tolist(), row_ids, parent, branch)
+    rows = np.arange(len(X)) if rows is None else np.asarray(rows)
+    groups = []
+    stack = [(root, parent, branch, rows)]
     while stack:
-        node, node_rows = stack.pop()
+        node, parent, branch, rows = stack.pop()
         if not isinstance(node, SplitNode):
-            groups.append((node, node_rows))
+            groups.append((node, parent, branch, rows))
             continue
-        mask = node.branch_mask(X, node_rows)
-        left_rows = node_rows[mask]
-        right_rows = node_rows[~mask]
-        for child, child_rows in ((node.left, left_rows), (node.right, right_rows)):
-            if not len(child_rows):
-                continue
-            if child is None:
-                groups.append((node, child_rows))
-            else:
-                stack.append((child, child_rows))
+        column = X[rows, node.feature]
+        left = column == node.threshold if node.is_nominal else column <= node.threshold
+        for child_branch, child_rows in ((1, rows[~left]), (0, rows[left])):
+            if len(child_rows):
+                child = node.children[child_branch]
+                stack.append((child, node, child_branch, child_rows))
     return groups
 
 
-def _descend_rows(root, X: np.ndarray) -> list[tuple[object, list[int]]]:
+def _descend_rows(root, values_by_row, row_ids, parent, branch) -> list:
     """:func:`route_batch_groups` by one descent per row."""
-    groups: dict[object, tuple[object, list[int]]] = {}
-    for row, values in enumerate(X.tolist()):
-        node, key = root, None
+    groups: dict[tuple[int, int], tuple] = {}
+    for row, values in zip(row_ids, values_by_row):
+        node, node_parent, node_branch = root, parent, branch
         while isinstance(node, SplitNode):
             value = values[node.feature]
             if node.is_nominal:
-                branch = 0 if value == node.threshold else 1
+                node_branch = 0 if value == node.threshold else 1
             else:
-                branch = 0 if value <= node.threshold else 1
-            child = node.children[branch]
-            if child is None:
-                key = (id(node), branch)
-                break
-            node = child
-        groups.setdefault(key or id(node), (node, []))[1].append(row)
+                node_branch = 0 if value <= node.threshold else 1
+            node_parent, node = node, node.children[node_branch]
+        key = (id(node_parent), node_branch)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = (node, node_parent, node_branch, [row])
+        else:
+            group[3].append(row)
     return list(groups.values())
 
 

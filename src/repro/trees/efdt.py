@@ -17,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.persistence.registry import register
-from repro.telemetry import TREE_SPLIT, TELEMETRY
+from repro.telemetry import TELEMETRY
 from repro.trees.base import LeafNode, SplitNode
 from repro.trees.hoeffding import hoeffding_bound
-from repro.trees.observers import SplitSuggestion
 from repro.trees.vfdt import HoeffdingTreeClassifier
 
 
@@ -100,30 +99,26 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
         # Update statistics along the whole path (EFDT keeps inner-node
         # statistics alive), then let the leaf learn, then run checks
         # top-down as in the published algorithm.
-        path: list[tuple[EFDTSplitNode | None, int]] = []
+        n_classes = max(self.n_classes_, 2)
+        path: list[tuple[SplitNode, SplitNode | None, int]] = []
         node = self.root
         parent: SplitNode | None = None
         branch = 0
         while isinstance(node, SplitNode):
             if isinstance(node, EFDTSplitNode):
-                node.stats.learn_one(x, y_idx, n_classes=max(self.n_classes_, 2))
-            path.append((node, branch))
+                node.stats.learn_one(x, y_idx, n_classes=n_classes)
+            path.append((node, parent, branch))
             parent = node
             branch = node.branch_for(x)
             child = node.children[branch]
             if child is None:
-                child = self._new_leaf(depth=node.depth + 1)
-                node.children[branch] = child
+                child = node.children[branch] = self._new_leaf(depth=node.depth + 1)
             node = child
-        leaf = node
-        leaf.learn_one(x, y_idx, n_classes=max(self.n_classes_, 2))
+        node.learn_one(x, y_idx, n_classes=n_classes)
 
         # Re-evaluate the inner nodes on the path (top-down).
-        grand_parent: SplitNode | None = None
-        grand_branch = 0
-        for split_node, _ in path:
+        for split_node, split_parent, split_branch in path:
             if not isinstance(split_node, EFDTSplitNode):
-                grand_parent, grand_branch = split_node, split_node.branch_for(x)
                 continue
             weight = split_node.stats.total_weight
             if (
@@ -131,20 +126,11 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
                 >= self.reevaluation_period
             ):
                 split_node.weight_at_last_reevaluation = weight
-                replaced = self._reevaluate_split(
-                    split_node, grand_parent, grand_branch
-                )
-                if replaced:
+                if self._reevaluate_split(split_node, split_parent, split_branch):
                     # The subtree below was rebuilt; stop walking stale nodes.
                     return
-            grand_parent, grand_branch = split_node, split_node.branch_for(x)
 
-        # Leaf split attempt.
-        if self._can_split(leaf):
-            weight_seen = leaf.total_weight
-            if weight_seen - leaf.weight_at_last_split_attempt >= self.grace_period:
-                leaf.weight_at_last_split_attempt = weight_seen
-                self._attempt_split(leaf, parent, branch)
+        self._check_split(node, parent, branch)
 
     # ---------------------------------------------------------------- split
     def _attempt_split(
@@ -167,43 +153,11 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
                 return self._split_leaf(leaf, best, parent, branch)
         return None
 
-    def _split_leaf(
-        self,
-        leaf: LeafNode,
-        suggestion: SplitSuggestion,
-        parent: SplitNode | None,
-        branch: int,
-    ) -> "EFDTSplitNode":
+    def _new_split_node(self, leaf: LeafNode, **node_args) -> EFDTSplitNode:
+        """A split node that keeps learning with ``leaf``'s statistics."""
         stats = self._new_leaf(depth=leaf.depth, initial_dist=leaf.class_dist)
         stats.observers = leaf.observers
-        new_split = EFDTSplitNode(
-            stats,
-            feature=suggestion.feature,
-            threshold=suggestion.threshold,
-            is_nominal=suggestion.is_nominal,
-            class_dist=leaf.class_dist.copy(),
-            depth=leaf.depth,
-        )
-        for child_idx in range(2):
-            initial = (
-                suggestion.children_dists[child_idx]
-                if len(suggestion.children_dists) == 2
-                else None
-            )
-            new_split.children[child_idx] = self._new_leaf(
-                depth=leaf.depth + 1, initial_dist=initial
-            )
-        self._replace_child(parent, branch, new_split)
-        self.n_split_events += 1
-        if TELEMETRY.enabled:
-            TELEMETRY.emit(
-                TREE_SPLIT,
-                model=type(self).__name__,
-                feature=int(suggestion.feature),
-                threshold=float(suggestion.threshold),
-                depth=int(leaf.depth),
-            )
-        return new_split
+        return EFDTSplitNode(stats, **node_args)
 
     # ----------------------------------------------------------- reevaluate
     def _reevaluate_split(
@@ -247,46 +201,9 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
         if best.feature != node.feature and best.merit - current_merit > bound:
             # A different attribute is now clearly better: kill the subtree
             # and re-split on the new best attribute.
-            self._split_stats_node(node, best, parent, branch)
+            self._split_leaf(node.stats, best, parent, branch)
             self.n_subtree_prunes += 1
             if TELEMETRY.enabled:
                 self._telemetry_prune("resplit", node.depth)
             return True
         return False
-
-    def _split_stats_node(
-        self,
-        node: EFDTSplitNode,
-        suggestion: SplitSuggestion,
-        parent: SplitNode | None,
-        branch: int,
-    ) -> None:
-        stats = self._new_leaf(depth=node.depth, initial_dist=node.stats.class_dist)
-        stats.observers = node.stats.observers
-        new_split = EFDTSplitNode(
-            stats,
-            feature=suggestion.feature,
-            threshold=suggestion.threshold,
-            is_nominal=suggestion.is_nominal,
-            class_dist=node.stats.class_dist.copy(),
-            depth=node.depth,
-        )
-        for child_idx in range(2):
-            initial = (
-                suggestion.children_dists[child_idx]
-                if len(suggestion.children_dists) == 2
-                else None
-            )
-            new_split.children[child_idx] = self._new_leaf(
-                depth=node.depth + 1, initial_dist=initial
-            )
-        self._replace_child(parent, branch, new_split)
-        self.n_split_events += 1
-        if TELEMETRY.enabled:
-            TELEMETRY.emit(
-                TREE_SPLIT,
-                model=type(self).__name__,
-                feature=int(suggestion.feature),
-                threshold=float(suggestion.threshold),
-                depth=int(node.depth),
-            )

@@ -221,13 +221,14 @@ class FIMTDDClassifier(TreeClassifier):
         return self
 
     def _learn_one(self, x_aug: np.ndarray, x: list[float], y_idx: int) -> None:
-        # Route to the leaf, remembering the path for the Page-Hinkley updates.
-        path: list[tuple[FIMTSplitNode, int]] = []
+        # Route to the leaf, remembering the path (each inner node with its
+        # parent and branch) for the Page-Hinkley updates.
+        path: list[tuple[FIMTSplitNode, FIMTSplitNode | None, int]] = []
         node = self.root
         parent: FIMTSplitNode | None = None
         branch = 0
         while isinstance(node, FIMTSplitNode):
-            path.append((node, branch))
+            path.append((node, parent, branch))
             parent = node
             branch = node.branch_for(x)
             child = node.children[branch]
@@ -245,9 +246,9 @@ class FIMTDDClassifier(TreeClassifier):
         error = float(prediction != y_idx)
 
         # Page-Hinkley at every inner node on the path; prune on alert.
-        for ancestor, ancestor_branch in path:
+        for ancestor, ancestor_parent, ancestor_branch in path:
             if ancestor.page_hinkley.update(error):
-                self._prune_branch(ancestor, ancestor_branch)
+                self._prune_branch(ancestor, ancestor_parent, ancestor_branch)
                 return
 
         # Split attempt.
@@ -257,9 +258,11 @@ class FIMTDDClassifier(TreeClassifier):
             leaf.weight_at_last_split_attempt = leaf.total_weight
             self._attempt_split(leaf, parent, branch)
 
-    def _prune_branch(self, node: FIMTSplitNode, branch_in_parent: int) -> None:
-        """Delete the branch rooted at ``node`` (second FIMT-DD drift strategy)."""
-        parent, branch = self._find_parent(node)
+    def _prune_branch(
+        self, node: FIMTSplitNode, parent: FIMTSplitNode | None, branch: int
+    ) -> None:
+        """Replace the branch rooted at ``node``, on ``parent``'s ``branch``,
+        by a fresh leaf (second FIMT-DD drift strategy)."""
         self._replace_child(parent, branch, self._new_leaf(depth=node.depth))
         self.n_pruned_branches += 1
         if TELEMETRY.enabled:
@@ -269,22 +272,6 @@ class FIMTDDClassifier(TreeClassifier):
                 reason="branch",
                 depth=int(node.depth),
             )
-
-    def _find_parent(
-        self, target: FIMTSplitNode
-    ) -> tuple[FIMTSplitNode | None, int]:
-        if self.root is target:
-            return None, 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, FIMTSplitNode):
-                for branch, child in enumerate(node.children):
-                    if child is target:
-                        return node, branch
-                    if isinstance(child, FIMTSplitNode):
-                        stack.append(child)
-        return None, 0
 
     def _attempt_split(
         self, leaf: FIMTLeaf, parent: FIMTSplitNode | None, branch: int

@@ -10,12 +10,14 @@ majority voting.
 ADWIN updates are inherently sequential (every error depends on the leaf
 statistics accumulated from the rows before it), so HT-Ada cannot learn a
 batch with one kernel the way the plain VFDT does.  Training instead
-removes the per-row tree work: batches are routed once per split node (the
-root-to-leaf paths are cached until the structure changes) and the per-row
-subtree predictions -- which the per-row recursion recomputes at *every*
-node of the path, an ``O(depth^2)`` walk -- collapse to a single leaf
-evaluation, because every main-path node predicts through the same leaf.
-The result is bit-identical to the recursion.
+removes the per-row tree work: a batch is routed once by the family's
+router (the leaves' root-to-leaf paths are cached until the structure
+changes) and the per-row subtree predictions -- which the per-row recursion
+recomputes at *every* node of the path, an ``O(depth^2)`` walk -- collapse
+to a single leaf evaluation, because every main-path node predicts through
+the same leaf.  Both share :meth:`~HoeffdingAdaptiveTreeClassifier._monitor_split_node`
+and the family's one split installer, and the result is bit-identical to
+the recursion.
 
 ``complexity()``, ``n_nodes``, ``n_leaves`` and ``depth`` count the main tree
 only: an alternate subtree is not part of the model until it is swapped in.
@@ -28,8 +30,7 @@ import numpy as np
 from repro.drift.adwin import ADWIN
 from repro.persistence.registry import register
 from repro.telemetry import TELEMETRY
-from repro.trees.base import LeafNode, SplitNode
-from repro.trees.observers import SplitSuggestion
+from repro.trees.base import LeafNode, SplitNode, route_batch_groups
 from repro.trees.vfdt import HoeffdingTreeClassifier
 from repro.utils.numerics import np_pairwise_sum
 
@@ -135,33 +136,8 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
             adwin_delta=self.adwin_delta,
         )
 
-    def _split_leaf(
-        self,
-        leaf: LeafNode,
-        suggestion: SplitSuggestion,
-        parent: SplitNode | None,
-        branch: int,
-    ) -> AdaSplitNode:
-        new_split = AdaSplitNode(
-            feature=suggestion.feature,
-            threshold=suggestion.threshold,
-            is_nominal=suggestion.is_nominal,
-            class_dist=leaf.class_dist.copy(),
-            depth=leaf.depth,
-            adwin_delta=self.adwin_delta,
-        )
-        for child_idx in range(2):
-            initial = (
-                suggestion.children_dists[child_idx]
-                if len(suggestion.children_dists) == 2
-                else None
-            )
-            new_split.children[child_idx] = self._new_leaf(
-                depth=leaf.depth + 1, initial_dist=initial
-            )
-        self._replace_child(parent, branch, new_split)
-        self.n_split_events += 1
-        return new_split
+    def _new_split_node(self, leaf: LeafNode, **node_args) -> AdaSplitNode:
+        return AdaSplitNode(**node_args, adwin_delta=self.adwin_delta)
 
     # ---------------------------------------------------------------- learn
     def _learn_one(self, x: np.ndarray, y_idx: int) -> None:
@@ -185,30 +161,32 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
     def _learn_in_subtree(
         self, node, x: np.ndarray, y_idx: int, parent, branch: int
     ) -> None:
-        if isinstance(node, AdaSplitNode):
-            self._learn_split_node(node, x, y_idx, parent, branch)
-        else:
-            self._learn_leaf_node(node, x, y_idx, parent, branch)
-
-    def _learn_leaf_node(
-        self, leaf: AdaLeafNode, x: np.ndarray, y_idx: int, parent, branch: int
-    ) -> None:
-        prediction = self._subtree_predict(leaf, x)
-        leaf.adwin.update(float(prediction != y_idx))
-        leaf.learn_one(x, y_idx, n_classes=max(self.n_classes_, 2))
-        if self._can_split(leaf):
-            weight_seen = leaf.total_weight
-            if weight_seen - leaf.weight_at_last_split_attempt >= self.grace_period:
-                leaf.weight_at_last_split_attempt = weight_seen
-                self._attempt_split(leaf, parent, branch)
-
-    def _learn_split_node(
-        self, node: AdaSplitNode, x: np.ndarray, y_idx: int, parent, branch: int
-    ) -> None:
+        """The per-row recursion: the reference of the cached-routing loop."""
+        if not isinstance(node, AdaSplitNode):
+            node.adwin.update(float(self._subtree_predict(node, x) != y_idx))
+            node.learn_one(x, y_idx, n_classes=max(self.n_classes_, 2))
+            self._check_split(node, parent, branch)
+            return
         error = float(self._subtree_predict(node, x) != y_idx)
+        if self._monitor_split_node(node, parent, branch, error, x, y_idx):
+            return  # the alternate tree, now in place, has learned the row
+        child_branch = node.branch_for(x)
+        child = node.children[child_branch]
+        if child is None:
+            child = node.children[child_branch] = self._new_leaf(depth=node.depth + 1)
+        self._learn_in_subtree(child, x, y_idx, parent=node, branch=child_branch)
+
+    def _monitor_split_node(
+        self, node: AdaSplitNode, parent, branch: int, error: float, x, y_idx: int
+    ) -> bool:
+        """Feed the main branch's ``error`` on one row to ``node``'s ADWIN;
+        start, train, swap in or drop its alternate tree.
+
+        Returns whether the alternate tree replaced ``node`` on ``parent``'s
+        ``branch``.  A fresh alternate tree first learns from the next row.
+        """
         previous_error = node.adwin.mean
         drift = node.adwin.update(error)
-
         if node.alternate_tree is None:
             if drift and node.adwin.mean > previous_error:
                 node.alternate_tree = self._new_leaf(depth=node.depth)
@@ -218,51 +196,41 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
                 self.n_alternate_trees += 1
                 if TELEMETRY.enabled:
                     self._telemetry_alternate_started(node.depth)
-        else:
-            # Train the alternate subtree in parallel and track both errors.
-            alt_error = float(self._subtree_predict(node.alternate_tree, x) != y_idx)
-            node.alt_errors += alt_error
-            node.main_errors_since_alt += error
-            node.alt_weight += 1.0
-            self._learn_in_subtree(
-                node.alternate_tree, x, y_idx, parent=node, branch=-1
-            )
-            if node.alt_weight >= self.alternate_min_weight:
-                alt_rate = node.alt_errors / node.alt_weight
-                main_rate = node.main_errors_since_alt / node.alt_weight
-                if alt_rate < main_rate:
-                    self._replace_child(parent, branch, node.alternate_tree)
-                    self.n_tree_swaps += 1
-                    if TELEMETRY.enabled:
-                        self._telemetry_swap(node.depth)
-                    # Continue learning inside the promoted subtree.
-                    node = None
-                elif alt_rate > main_rate + 0.05:
-                    node.alternate_tree = None
-                    self.n_pruned_alternates += 1
-                    if TELEMETRY.enabled:
-                        self._telemetry_prune("alternate", node.depth)
-                if node is None:
-                    return
-
-        # Route the observation down the main branch.
-        child_branch = node.branch_for(x)
-        child = node.children[child_branch]
-        if child is None:
-            child = self._new_leaf(depth=node.depth + 1)
-            node.children[child_branch] = child
-        self._learn_in_subtree(child, x, y_idx, parent=node, branch=child_branch)
+            return False
+        # Train the alternate subtree in parallel and track both errors.
+        alt_error = float(self._subtree_predict(node.alternate_tree, x) != y_idx)
+        node.alt_errors += alt_error
+        node.main_errors_since_alt += error
+        node.alt_weight += 1.0
+        self._learn_in_subtree(node.alternate_tree, x, y_idx, parent=node, branch=-1)
+        if node.alt_weight < self.alternate_min_weight:
+            return False
+        alt_rate = node.alt_errors / node.alt_weight
+        main_rate = node.main_errors_since_alt / node.alt_weight
+        if alt_rate < main_rate:
+            self._replace_child(parent, branch, node.alternate_tree)
+            self.n_tree_swaps += 1
+            if TELEMETRY.enabled:
+                self._telemetry_swap(node.depth)
+            return True
+        if alt_rate > main_rate + 0.05:
+            node.alternate_tree = None
+            self.n_pruned_alternates += 1
+            if TELEMETRY.enabled:
+                self._telemetry_prune("alternate", node.depth)
+        return False
 
     # ---------------------------------------------------- vectorized fitting
     def _partial_fit_vectorized(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         """Cached-routing training loop, bit-identical to the recursion.
 
         Rows are still consumed one at a time (the ADWIN error signals are
-        sequential), but the root-to-leaf walk is shared: routing is computed
-        for the whole remaining batch in one partition sweep and reused until
-        a split or subtree swap changes the structure.  Every main-path node
-        predicts through the same leaf, so the per-node subtree predictions
-        of the reference collapse to one leaf evaluation per row.
+        sequential), but the root-to-leaf walk is shared: the remaining
+        batch is routed once (:func:`route_batch_groups`) and the routing is
+        reused until a split or subtree swap changes the structure.  Every
+        main-path node predicts through the same leaf, so the per-node
+        subtree predictions of the recursion collapse to one leaf
+        evaluation per row.
         """
         if self.leaf_prediction != "mc":
             # Naive Bayes leaf predictors interleave per-row model updates
@@ -277,46 +245,22 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
         grace = self.grace_period
         start = 0
         while start < n:
-            rows = np.arange(start, n)
-            if not isinstance(self.root, SplitNode):
-                leaf_entries = [(self.root, [], None, 0)]
-                leaf_rows = [0] * (n - start)
-            else:
-                leaf_entries = []
-                leaf_by_row = np.empty(n - start, dtype=np.intp)
-                leaf_rows = None
-                bail_out = False
-                stack = [(self.root, (), None, 0, rows)]
-                while stack:
-                    node, path, parent, branch, node_rows = stack.pop()
-                    if isinstance(node, SplitNode):
-                        mask = node.branch_mask(X, node_rows)
-                        extended = path + ((node, parent, branch),)
-                        for child_branch, child_rows in (
-                            (0, node_rows[mask]),
-                            (1, node_rows[~mask]),
-                        ):
-                            if not len(child_rows):
-                                continue
-                            child = node.children[child_branch]
-                            if child is None:
-                                bail_out = True
-                                break
-                            stack.append(
-                                (child, extended, node, child_branch, child_rows)
-                            )
-                        if bail_out:
-                            break
-                    else:
-                        leaf_by_row[node_rows - start] = len(leaf_entries)
-                        leaf_entries.append((node, list(path), parent, branch))
-                if bail_out:
-                    # A missing child means the per-row walk would predict
-                    # from the split node itself; defer to the recursion.
-                    for row in range(start, n):
-                        self._learn_one(X[row], int(y_idx[row]))
-                    return
-                leaf_rows = leaf_by_row.tolist()
+            # Rows of the groups count from ``start``.
+            groups = route_batch_groups(self.root, X[start:])
+            if any(leaf is None for leaf, _, _, _ in groups):
+                # A missing child means the per-row walk would predict
+                # from the split node itself; defer to the recursion.
+                for row in range(start, n):
+                    self._learn_one(X[row], int(y_idx[row]))
+                return
+            leaf_entries = []
+            leaf_rows = [0] * (n - start)
+            for leaf_index, (leaf, parent, branch, rows) in enumerate(groups):
+                rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+                for row in rows:
+                    leaf_rows[row] = leaf_index
+                path = self._main_path(X_list[start + rows[0]])
+                leaf_entries.append((leaf, path, parent, branch))
             # Python mirrors of each leaf's class counts: plain float
             # arithmetic tracks the numpy statistics exactly and avoids
             # re-materialising distributions for every row.
@@ -355,49 +299,17 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
                             best = value
                             prediction = class_idx
                 error = 1.0 if prediction != y else 0.0
-                x = None
+                # The row as Python floats: majority-class leaves read no
+                # feature to predict, so an alternate tree routes and learns
+                # from the list as the recursion does from the array.
+                x = X_list[i]
                 swapped = False
                 for node, node_parent, node_branch in path:
-                    previous_error = node.adwin.mean
-                    drift = node.adwin.update(error)
-                    if node.alternate_tree is None:
-                        if drift and node.adwin.mean > previous_error:
-                            node.alternate_tree = self._new_leaf(depth=node.depth)
-                            node.main_errors_since_alt = 0.0
-                            node.alt_errors = 0.0
-                            node.alt_weight = 0.0
-                            self.n_alternate_trees += 1
-                            if TELEMETRY.enabled:
-                                self._telemetry_alternate_started(node.depth)
-                        continue
-                    if x is None:
-                        x = X[i]
-                    alt_error = float(
-                        self._subtree_predict(node.alternate_tree, x) != y
+                    swapped = self._monitor_split_node(
+                        node, node_parent, node_branch, error, x, y
                     )
-                    node.alt_errors += alt_error
-                    node.main_errors_since_alt += error
-                    node.alt_weight += 1.0
-                    self._learn_in_subtree(
-                        node.alternate_tree, x, y, parent=node, branch=-1
-                    )
-                    if node.alt_weight >= self.alternate_min_weight:
-                        alt_rate = node.alt_errors / node.alt_weight
-                        main_rate = node.main_errors_since_alt / node.alt_weight
-                        if alt_rate < main_rate:
-                            self._replace_child(
-                                node_parent, node_branch, node.alternate_tree
-                            )
-                            self.n_tree_swaps += 1
-                            if TELEMETRY.enabled:
-                                self._telemetry_swap(node.depth)
-                            swapped = True
-                            break
-                        if alt_rate > main_rate + 0.05:
-                            node.alternate_tree = None
-                            self.n_pruned_alternates += 1
-                            if TELEMETRY.enabled:
-                                self._telemetry_prune("alternate", node.depth)
+                    if swapped:
+                        break
                 if swapped:
                     restart_at = i + 1
                     break
@@ -410,30 +322,7 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
                     nonzeros[leaf_index] += 1
                 dist[y] += 1.0
                 dirty.add(leaf_index)
-                observers = leaf.observers
-                if observers.nominal_features:
-                    observers.update_row(X_list[i], y, 1.0)
-                else:
-                    # Inlined all-numeric unit-weight update_row branch
-                    # (per-row method dispatch dominates this loop).
-                    if y >= observers.n_classes:
-                        observers.grow_classes(y + 1)
-                    weights = observers._weights[y]
-                    means = observers._means[y]
-                    m2 = observers._m2[y]
-                    mins = observers._mins
-                    maxs = observers._maxs
-                    for feature, value in enumerate(X_list[i]):
-                        new_weight = weights[feature] + 1.0
-                        delta = value - means[feature]
-                        new_mean = means[feature] + delta / new_weight
-                        m2[feature] += delta * (value - new_mean)
-                        means[feature] = new_mean
-                        weights[feature] = new_weight
-                        if value < mins[feature]:
-                            mins[feature] = value
-                        if value > maxs[feature]:
-                            maxs[feature] = value
+                leaf.observers.update_row(x, y, 1.0)
                 if nonzeros[leaf_index] > 1 and (
                     self.max_depth is None or leaf.depth < self.max_depth
                 ):
@@ -455,6 +344,17 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
             if restart_at is None:
                 return
             start = restart_at
+
+    def _main_path(self, values: list[float]) -> list[tuple]:
+        """``(split node, its parent, its branch)`` for each split node a
+        row passes, root first."""
+        path = []
+        node, parent, branch = self.root, None, 0
+        while isinstance(node, SplitNode):
+            path.append((node, parent, branch))
+            parent, branch = node, node.branch_for(values)
+            node = node.children[branch]
+        return path
 
     def _replace_child(self, parent, branch: int, new_node) -> None:
         if branch == -1:

@@ -5,12 +5,15 @@ majority-class leaves (``leaf_prediction="mc"``) and with adaptive Naive
 Bayes leaves (``leaf_prediction="nba"``, Gama et al. 2003).  Only binary
 splits are produced, matching the paper's experimental configuration.
 
-Training and inference work on whole batches.  Each batch is partitioned
-once per split node so every leaf receives one sub-batch, leaf statistics
-are updated in bulk between split attempts, and candidate splits are scored
-with one sweep over all thresholds of all features.  The result is
-bit-identical to the per-row / per-threshold loops of ``tests/oracles.py``
-(same splits, same predictions, same ``deterministic_summary()``).
+Training and inference work on whole batches.  Each batch is routed once
+(:func:`~repro.trees.base.route_batch_groups`) so every leaf receives one
+sub-batch, leaf statistics are updated in bulk between split attempts, and
+candidate splits are scored with one sweep over all thresholds of all
+features.  The result is bit-identical to the per-row / per-threshold loops
+of ``tests/oracles.py`` (same splits, same predictions, same
+``deterministic_summary()``).  :meth:`HoeffdingTreeClassifier._split_leaf`
+installs every split of the family (HT-Ada, EFDT); a subclass only chooses
+the split node through :meth:`HoeffdingTreeClassifier._new_split_node`.
 """
 
 from __future__ import annotations
@@ -143,72 +146,27 @@ class HoeffdingTreeClassifier(TreeClassifier):
     def _partial_fit_vectorized(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         """Batched training, bit-identical to a per-row training loop.
 
-        The batch is partitioned once per split node; each leaf then learns
-        its rows in bulk up to the next split-attempt trigger (computed by an
-        exact scalar simulation of the per-row weight/purity checks).  When
-        an attempt splits the leaf, the not-yet-consumed rows are re-routed
-        through the fresh split node.
+        The batch is routed once (:func:`route_batch_groups`); each leaf then
+        learns its rows in bulk up to the next split-attempt trigger
+        (computed by an exact scalar simulation of the per-row weight/purity
+        checks).  A missing child gets a fresh leaf before it learns.  When
+        an attempt splits the leaf, the not-yet-consumed rows are routed
+        again from the fresh split node.
         """
         # Plain-float views of the batch, materialised only when a small
         # group actually takes one of the scalar paths below (large batches
         # on shallow trees never need them).
         lists_cache: list = [None, None]
-        stack: list[tuple[object, SplitNode | None, int, np.ndarray]] = [
-            (self.root, None, 0, np.arange(len(X)))
-        ]
+        stack = route_batch_groups(self.root, X)
         while stack:
-            node, parent, branch, rows = stack.pop()
-            if isinstance(node, SplitNode):
-                if len(rows) <= SMALL_BATCH:
-                    X_list, _ = self._batch_lists(X, y_idx, lists_cache)
-                    # A mask partition touches every split node below; for a
-                    # handful of rows a per-row descent over plain Python
-                    # floats is cheaper (routing has no floating-point
-                    # accumulation, so either strategy lands the rows on the
-                    # same leaves).
-                    groups: dict[int, list] = {}
-                    for row in rows.tolist():
-                        values = X_list[row]
-                        walker = node
-                        walk_parent, walk_branch = parent, branch
-                        while isinstance(walker, SplitNode):
-                            walk_parent = walker
-                            value = values[walker.feature]
-                            if walker.is_nominal:
-                                walk_branch = 0 if value == walker.threshold else 1
-                            else:
-                                walk_branch = 0 if value <= walker.threshold else 1
-                            child = walker.children[walk_branch]
-                            if child is None:
-                                child = self._new_leaf(depth=walker.depth + 1)
-                                walker.children[walk_branch] = child
-                            walker = child
-                        entry = groups.get(id(walker))
-                        if entry is None:
-                            groups[id(walker)] = [walker, walk_parent, walk_branch, [row]]
-                        else:
-                            entry[3].append(row)
-                    for leaf, leaf_parent, leaf_branch, row_list in groups.values():
-                        stack.append(
-                            (leaf, leaf_parent, leaf_branch, np.asarray(row_list))
-                        )
-                    continue
-                mask = node.branch_mask(X, rows)
-                for child_branch, child_rows in (
-                    (0, rows[mask]),
-                    (1, rows[~mask]),
-                ):
-                    if not len(child_rows):
-                        continue
-                    child = node.children[child_branch]
-                    if child is None:
-                        child = self._new_leaf(depth=node.depth + 1)
-                        node.children[child_branch] = child
-                    stack.append((child, node, child_branch, child_rows))
-                continue
-            self._learn_leaf_group(
-                node, parent, branch, rows, X, y_idx, lists_cache, stack
+            leaf, parent, branch, rows = stack.pop()
+            if leaf is None:
+                leaf = parent.children[branch] = self._new_leaf(depth=parent.depth + 1)
+            split = self._learn_leaf_group(
+                leaf, parent, branch, rows, X, y_idx, lists_cache
             )
+            if split is not None and len(split[1]):
+                stack.extend(route_batch_groups(split[0], X, split[1], parent, branch))
 
     @staticmethod
     def _batch_lists(
@@ -225,12 +183,13 @@ class HoeffdingTreeClassifier(TreeClassifier):
         leaf: LeafNode,
         parent: SplitNode | None,
         branch: int,
-        rows: np.ndarray,
+        rows: np.ndarray | list[int],
         X: np.ndarray,
         y_idx: np.ndarray,
         lists_cache: list,
-        stack: list,
-    ) -> None:
+    ) -> tuple[SplitNode, np.ndarray | list[int]] | None:
+        """Learn ``rows`` at ``leaf`` in order; on a split, stop and return
+        the new split node and the rows not yet learned."""
         n_classes = max(self.n_classes_, 2)
         if not leaf.supports_bulk_learning:
             # "nba" bookkeeping is sequential; keep the per-row loop but stay
@@ -238,27 +197,16 @@ class HoeffdingTreeClassifier(TreeClassifier):
             for position in range(len(rows)):
                 row = rows[position]
                 leaf.learn_one(X[row], int(y_idx[row]), n_classes=n_classes)
-                if self._can_split(leaf):
-                    weight_seen = leaf.total_weight
-                    if (
-                        weight_seen - leaf.weight_at_last_split_attempt
-                        >= self.grace_period
-                    ):
-                        leaf.weight_at_last_split_attempt = weight_seen
-                        new_node = self._attempt_split(leaf, parent, branch)
-                        if new_node is not None:
-                            if position + 1 < len(rows):
-                                stack.append(
-                                    (new_node, parent, branch, rows[position + 1 :])
-                                )
-                            return
-            return
+                new_node = self._check_split(leaf, parent, branch)
+                if new_node is not None:
+                    return new_node, rows[position + 1 :]
+            return None
 
         leaf._grow_classes(n_classes)
         if self.max_depth is not None and leaf.depth >= self.max_depth:
             # The leaf can never split: no triggers to scan for.
             leaf.learn_batch(X[rows], y_idx[rows], n_classes)
-            return
+            return None
 
         if leaf.leaf_prediction == "mc" and len(rows) <= 16:
             # Tiny sub-batches (deep trees, small batches): the chunked
@@ -266,10 +214,9 @@ class HoeffdingTreeClassifier(TreeClassifier):
             # scalar loop -- the same mirror/observer primitives, no numpy
             # slicing.  Bit-identical to the chunked and per-row paths.
             X_list, y_list = self._batch_lists(X, y_idx, lists_cache)
-            self._learn_leaf_group_small(
-                leaf, parent, branch, rows, X_list, y_list, stack
+            return self._learn_leaf_group_small(
+                leaf, parent, branch, rows, X_list, y_list
             )
-            return
 
         # Scalar simulation of the per-row trigger checks: the Python floats
         # track the numpy class counts exactly (unit increments are exact)
@@ -339,7 +286,7 @@ class HoeffdingTreeClassifier(TreeClassifier):
                     )
                 else:
                     leaf.learn_batch(X[tail], y_idx[tail], n_classes)
-                return
+                return None
             chunk = rows[position : trigger + 1]
             if is_mc:
                 leaf.class_dist[:] = dist
@@ -351,67 +298,35 @@ class HoeffdingTreeClassifier(TreeClassifier):
             leaf.weight_at_last_split_attempt = last_attempt = trigger_weight
             new_node = self._attempt_split(leaf, parent, branch)
             if new_node is not None:
-                if trigger + 1 < total_rows:
-                    stack.append((new_node, parent, branch, rows[trigger + 1 :]))
-                return
+                return new_node, rows[trigger + 1 :]
             position = trigger + 1
+        return None
 
     def _learn_leaf_group_small(
         self,
         leaf: LeafNode,
         parent: SplitNode | None,
         branch: int,
-        rows: np.ndarray,
+        rows: np.ndarray | list[int],
         X_list: list,
         y_list: list,
-        stack: list,
-    ) -> None:
+    ) -> tuple[SplitNode, np.ndarray | list[int]] | None:
         grace = self.grace_period
         last_attempt = leaf.weight_at_last_split_attempt
-        observers = leaf.observers
+        update_row = leaf.observers.update_row
         dist = leaf.class_dist.tolist()
         small_dist = len(dist) < 8
         nonzero = 0
         for value in dist:
             if value != 0.0:
                 nonzero += 1
-        # Inline the all-numeric unit-weight branch of
-        # LeafObservers.update_row: per-row method dispatch is the largest
-        # remaining cost of this loop.  grow_classes appends to the same
-        # list objects, so the bindings below survive class growth.
-        plain_store = not observers.nominal_features
-        weights_by_class = observers._weights
-        means_by_class = observers._means
-        m2_by_class = observers._m2
-        mins = observers._mins
-        maxs = observers._maxs
-        row_list = rows.tolist()
-        total_rows = len(row_list)
-        for position in range(total_rows):
-            row = row_list[position]
+        row_list = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        for position, row in enumerate(row_list):
             class_idx = y_list[row]
             if dist[class_idx] == 0.0:
                 nonzero += 1
             dist[class_idx] += 1.0
-            if plain_store:
-                if class_idx >= observers.n_classes:
-                    observers.grow_classes(class_idx + 1)
-                weights = weights_by_class[class_idx]
-                means = means_by_class[class_idx]
-                m2 = m2_by_class[class_idx]
-                for feature, value in enumerate(X_list[row]):
-                    new_weight = weights[feature] + 1.0
-                    delta = value - means[feature]
-                    new_mean = means[feature] + delta / new_weight
-                    m2[feature] += delta * (value - new_mean)
-                    means[feature] = new_mean
-                    weights[feature] = new_weight
-                    if value < mins[feature]:
-                        mins[feature] = value
-                    if value > maxs[feature]:
-                        maxs[feature] = value
-            else:
-                observers.update_row(X_list[row], class_idx, 1.0)
+            update_row(X_list[row], class_idx, 1.0)
             if nonzero > 1:
                 if small_dist:
                     weight_seen = 0.0
@@ -424,12 +339,22 @@ class HoeffdingTreeClassifier(TreeClassifier):
                     leaf.weight_at_last_split_attempt = last_attempt = weight_seen
                     new_node = self._attempt_split(leaf, parent, branch)
                     if new_node is not None:
-                        if position + 1 < total_rows:
-                            stack.append(
-                                (new_node, parent, branch, rows[position + 1 :])
-                            )
-                        return
+                        return new_node, rows[position + 1 :]
         leaf.class_dist[:] = dist
+        return None
+
+    def _check_split(
+        self, leaf: LeafNode, parent: SplitNode | None, branch: int
+    ) -> SplitNode | None:
+        """Attempt a split once ``leaf`` has gained a grace period's weight
+        since its last attempt; return the new split node if one was made."""
+        if not self._can_split(leaf):
+            return None
+        weight_seen = leaf.total_weight
+        if weight_seen - leaf.weight_at_last_split_attempt < self.grace_period:
+            return None
+        leaf.weight_at_last_split_attempt = weight_seen
+        return self._attempt_split(leaf, parent, branch)
 
     def _can_split(self, leaf: LeafNode) -> bool:
         if leaf.is_pure:
@@ -467,21 +392,21 @@ class HoeffdingTreeClassifier(TreeClassifier):
         parent: SplitNode | None,
         branch: int,
     ) -> SplitNode:
-        new_split = SplitNode(
+        """Replace ``leaf`` (on ``parent``'s ``branch``) by a split node on
+        ``suggestion`` with two fresh leaves: every split of the family."""
+        new_split = self._new_split_node(
+            leaf,
             feature=suggestion.feature,
             threshold=suggestion.threshold,
             is_nominal=suggestion.is_nominal,
             class_dist=leaf.class_dist.copy(),
             depth=leaf.depth,
         )
+        dists = suggestion.children_dists
         for child_idx in range(2):
-            initial = (
-                suggestion.children_dists[child_idx]
-                if len(suggestion.children_dists) == 2
-                else None
-            )
             new_split.children[child_idx] = self._new_leaf(
-                depth=leaf.depth + 1, initial_dist=initial
+                depth=leaf.depth + 1,
+                initial_dist=dists[child_idx] if len(dists) == 2 else None,
             )
         self._replace_child(parent, branch, new_split)
         self.n_split_events += 1
@@ -494,6 +419,10 @@ class HoeffdingTreeClassifier(TreeClassifier):
                 depth=int(leaf.depth),
             )
         return new_split
+
+    def _new_split_node(self, leaf: LeafNode, **node_args) -> SplitNode:
+        """The split node that replaces ``leaf``; subclasses add their state."""
+        return SplitNode(**node_args)
 
     # ------------------------------------------------------------ telemetry
     # Call sites must guard on ``TELEMETRY.enabled`` so the disabled path
@@ -532,14 +461,14 @@ class HoeffdingTreeClassifier(TreeClassifier):
         groups = route_batch_groups(self.root, X)
         if len(X) > SMALL_BATCH:
             proba = np.empty((len(X), width))
-            for node, rows in groups:
-                proba[rows] = self._node_proba(node, X, rows, n_classes, width)
+            for node, parent, _, rows in groups:
+                proba[rows] = self._node_proba(node, parent, X, rows, n_classes, width)
             return proba
         # A handful of rows: one conversion of Python rows costs less than
         # a fancy assignment per node.
         out: list = [None] * len(X)
-        for node, rows in groups:
-            node_proba = self._node_proba(node, X, rows, n_classes, width)
+        for node, parent, _, rows in groups:
+            node_proba = self._node_proba(node, parent, X, rows, n_classes, width)
             if isinstance(node_proba, np.ndarray):
                 for row, values in zip(rows, node_proba.tolist()):
                     out[row] = values
@@ -549,15 +478,15 @@ class HoeffdingTreeClassifier(TreeClassifier):
         return np.array(out)
 
     def _node_proba(
-        self, node, X: np.ndarray, rows, n_classes: int, width: int
+        self, node, parent, X: np.ndarray, rows, n_classes: int, width: int
     ) -> np.ndarray | list[float]:
         """One row shared by ``rows``, or a Naive Bayes leaf's row per row."""
-        if isinstance(node, SplitNode):
+        if node is None:
             # Missing child on the routed branch: fall back to the split
             # node's class distribution, as a per-row walk does when it
             # cannot descend further.
             return normalised_row(
-                self._split_node_proba(node, n_classes)[:width].tolist()
+                self._split_node_proba(parent, n_classes)[:width].tolist()
             )
         if node.uses_naive_bayes:
             block = node.predict_proba_batch(X[rows], n_classes)[:, :width]

@@ -766,7 +766,7 @@ class TwoPassFIMTDD(FIMTDDClassifier):
         parent = None
         branch = 0
         while isinstance(node, FIMTSplitNode):
-            path.append((node, branch))
+            path.append((node, parent, branch))
             parent = node
             branch = node.branch_for(x)
             child = node.children[branch]
@@ -780,9 +780,9 @@ class TwoPassFIMTDD(FIMTDDClassifier):
         leaf.total_weight += 1.0
         leaf.observers.update_row(x.tolist(), y_idx)
         leaf.model.update(x.reshape(1, -1), np.array([y_idx]))
-        for ancestor, ancestor_branch in path:
+        for ancestor, ancestor_parent, ancestor_branch in path:
             if ancestor.page_hinkley.update(error):
-                self._prune_branch(ancestor, ancestor_branch)
+                self._prune_branch(ancestor, ancestor_parent, ancestor_branch)
                 return
         if self.max_depth is not None and leaf.depth >= self.max_depth:
             return

@@ -33,6 +33,7 @@ from repro.ensembles.leveraging_bagging import LeveragingBaggingClassifier
 from repro.evaluation.prequential import PrequentialEvaluator
 from repro.persistence import load_model
 from repro.streams.synthetic import LEDGenerator, SEAGenerator
+from repro.trees.base import SMALL_BATCH, SplitNode
 from repro.trees.criteria import GiniCriterion, InfoGainCriterion, VarianceReductionCriterion
 from repro.trees.efdt import ExtremelyFastDecisionTreeClassifier
 from repro.trees.fimtdd import FIMTDDClassifier
@@ -87,6 +88,28 @@ def train_pair(model, X, y, classes, sizes):
         reference.partial_fit(batch_X, batch_y, classes=classes)
         position += size
     return fast, reference
+
+
+def tree_signature(node):
+    """Every statistic of a Hoeffding (sub)tree as nested lists, ``None`` for
+    a missing child; the ``repr`` of two signatures compares them bit for bit."""
+    if node is None:
+        return None
+    if isinstance(node, SplitNode):
+        children = [tree_signature(child) for child in node.children]
+        return [
+            node.feature, node.threshold, node.is_nominal, node.depth,
+            node.class_dist.tolist(), children,
+        ]
+    store, bayes = node.observers, node._naive_bayes
+    return [
+        node.depth, node.class_dist.tolist(), node.weight_at_last_split_attempt,
+        node._mc_correct, node._nb_correct,
+        [store._weights, store._means, store._m2, store._mins, store._maxs],
+        None if bayes is None else [
+            bayes.class_counts.tolist(), bayes._means.tolist(), bayes._m2.tolist()
+        ],
+    ]
 
 
 def count_reference_leaves(tree) -> int:
@@ -315,6 +338,46 @@ class TestTreeEquivalence:
             rtol=1e-12,
             atol=1e-15,
         )
+
+    @pytest.mark.parametrize("model", ["vfdt_mc", "vfdt_nba"])
+    @pytest.mark.parametrize("size", [1, SMALL_BATCH, SMALL_BATCH + 1, 40])
+    def test_training_through_a_missing_child_bit_identical(self, model, size):
+        """Rows that reach a split node's missing child: the router's group
+        gets a fresh leaf, learns, splits and routes its remaining rows again,
+        as the oracle's per-row descent does."""
+        X, y, classes = stream_rows(False, 6000, 5, False)
+        product, params = TREE_FACTORIES[model]
+        fast, reference = train_pair(
+            (product, {**params, "tie_threshold": 0.5}),
+            X[:1500], y[:1500], classes, [50] * 30,
+        )
+        # Cut the left child of the last split node on each tree's leftmost
+        # path; the rows that reach it go left at every node of that path.
+        cut = []
+        for tree in (fast, reference):
+            leftmost = [tree.root]
+            while isinstance(leftmost[-1].children[0], SplitNode):
+                leftmost.append(leftmost[-1].children[0])
+            leftmost[-1].children[0] = None
+            tree._structure_changed()
+            cut.append(leftmost[-1])
+        assert cut[0].depth >= 1
+        assert repr(tree_signature(fast.root)) == repr(tree_signature(reference.root))
+        left = np.all([X[:, n.feature] <= n.threshold for n in leftmost], axis=0)
+        rows = 1500 + np.flatnonzero(left[1500:])[:160]
+        assert len(rows) == 160
+        for start in range(0, len(rows), size):
+            batch = rows[start : start + size]
+            fast.partial_fit(X[batch], y[batch])
+            reference.partial_fit(X[batch], y[batch])
+        assert isinstance(cut[0].children[0], SplitNode)  # the new leaf split
+        assert fast.n_split_events == reference.n_split_events
+        assert repr(tree_signature(fast.root)) == repr(tree_signature(reference.root))
+        assert fast.complexity() == reference.complexity()
+        for batch in (X[rows[:SMALL_BATCH]], X[:256]):
+            assert np.array_equal(
+                fast.predict_proba(batch), reference.predict_proba(batch)
+            )
 
     @pytest.mark.parametrize(
         "model", ["vfdt_mc", "vfdt_nba", "vfdt_nb", "vfdt_capped", "ht_ada", "efdt"]

@@ -325,3 +325,22 @@ def test_each_counted_kind_counter_equals_its_events(monkeypatch):
         )
         assert events, f"no {kind} event happened"
         assert _series(counter) == dict(events), kind
+
+
+@pytest.mark.parametrize("name", ["vfdt_mc", "ht_ada", "efdt", "fimtdd"])
+def test_each_tree_split_sends_one_event(name):
+    """Every split a baseline counts in ``n_split_events`` sends one
+    ``tree.split`` event and bumps ``repro.tree.splits_total`` once: HT-Ada's
+    and EFDT's splits, re-splits included, go through VFDT's installer."""
+    TELEMETRY.enable()
+    model = make_model(name, seed=1)
+    PrequentialEvaluator(batch_size=100).evaluate(
+        model, make_dataset("agrawal", scale=0.1, seed=1)
+    )
+    records = TELEMETRY.events.records()
+    assert records[-1]["seq"] == len(records), "the event ring dropped events"
+    splits = [record for record in records if record["kind"] == TREE_SPLIT]
+    assert model.n_split_events >= 1
+    assert len(splits) == model.n_split_events
+    label = (("model", type(model).__name__),)
+    assert _series(TREE_SPLITS_TOTAL) == {label: model.n_split_events}

@@ -143,8 +143,10 @@ class TestSmallBatchPrediction:
 
 class TestRouting:
     def test_groups_cover_every_row_once_in_ascending_order(self):
-        """Both routing strategies put each row in the group of the node a
-        per-row walk stops at, with one group per missing branch."""
+        """Both routing strategies put each row in the group of the slot a
+        per-row walk stops at: a leaf with its parent and branch, or a
+        ``None`` node on the missing branch, one group per slot.  A subset
+        of the rows routed from a subtree lands in the same slots."""
         X, y, classes = labelled_rows(3, 400, seed=2)
         tree = TREE_FACTORIES["vfdt_mc"][0](grace_period=30, tie_threshold=0.5)
         tree.partial_fit(X[:300], y[:300], classes=classes)
@@ -155,17 +157,32 @@ class TestRouting:
         for size in range(1, 3 * SMALL_BATCH):
             for start in (0, 7, 250):
                 batch = X[start : start + size]
-                groups = route_batch_groups(root, batch)
-                seen = []
-                for node, rows in groups:
-                    rows = np.asarray(rows)
-                    assert rows.dtype.kind == "i" and list(rows) == sorted(rows)
-                    reached = {walk(root, batch[row]) for row in rows.tolist()}
-                    assert len(reached) == 1
-                    assert reached.pop()[0] is node
-                    seen.extend(rows.tolist())
-                assert sorted(seen) == list(range(len(batch)))
-                keys = {
-                    (id(node), walk(root, batch[rows[0]])[1]) for node, rows in groups
-                }
-                assert len(keys) == len(groups)
+                self.check_groups(route_batch_groups(root, batch), root, batch, size)
+                # Every other row that goes left at the root, routed from
+                # the root's left child, as an index array and as a list.
+                left = [row for row in range(size) if root.branch_for(batch[row]) == 0]
+                subset = np.array(left[::2], dtype=np.intp)
+                for rows in (subset, subset.tolist()):
+                    groups = route_batch_groups(tree.root, batch, rows, root, 0)
+                    self.check_groups(groups, root, batch, subset)
+
+    @staticmethod
+    def check_groups(groups, root, batch, rows):
+        """``groups`` cover ``rows`` (a count or indices) as per-row walks do."""
+        expected = list(range(rows)) if isinstance(rows, int) else rows.tolist()
+        seen = []
+        for node, parent, branch, group_rows in groups:
+            group_rows = np.asarray(group_rows)
+            assert group_rows.dtype.kind == "i"
+            assert list(group_rows) == sorted(group_rows)
+            assert parent.children[branch] is node
+            for row in group_rows.tolist():
+                stop, missing_branch = walk(root, batch[row])
+                if node is None:
+                    assert (stop, missing_branch) == (parent, branch)
+                else:
+                    assert (stop, missing_branch) == (node, None)
+            seen.extend(group_rows.tolist())
+        assert sorted(seen) == expected
+        slots = {(id(parent), branch) for _, parent, branch, _ in groups}
+        assert len(slots) == len(groups)
