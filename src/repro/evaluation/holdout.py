@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.base import StreamClassifier
 from repro.evaluation.complexity import summarize_trace
 from repro.evaluation.metrics import ConfusionMatrix, MatrixScores, check_average
@@ -104,11 +106,19 @@ class HoldoutEvaluator:
         model_name: str | None = None,
         dataset_name: str | None = None,
     ) -> HoldoutResult:
-        """Alternate training phases and frozen holdout evaluations."""
+        """Alternate training phases and frozen holdout evaluations.
+
+        A consumed or partly consumed stream is rewound first, as the
+        prequential session does, so every call evaluates the whole stream.
+        The holdouts are scored together once the stream ends.
+        """
         classes = stream.classes
         check_average(self.f1_average, classes)
-        # Only counts: every holdout is scored on its own batch matrix.
+        if stream.position != 0:
+            stream.restart()
+        # Only counts: each holdout's matrix is kept for the end pass.
         confusion = ConfusionMatrix(classes)
+        holdouts: list[np.ndarray] = []
         result = HoldoutResult(
             model_name=model_name or type(model).__name__,
             dataset_name=dataset_name
@@ -138,9 +148,11 @@ class HoldoutEvaluator:
                 min(self.test_size, stream.n_remaining_samples())
             )
             predictions = model.predict(X_test)
-            scores = MatrixScores(confusion.counts(y_test, predictions), classes)
-            result.f1_trace.append(scores.f1(self.f1_average))
-            result.accuracy_trace.append(scores.accuracy())
+            holdouts.append(confusion.counts(y_test, predictions))
             result.n_splits_trace.append(model.complexity().n_splits)
             result.n_test_samples += len(y_test)
+        if holdouts:
+            scores = MatrixScores(np.stack(holdouts), confusion.classes)
+            result.f1_trace = scores.f1(self.f1_average).tolist()
+            result.accuracy_trace = scores.accuracy().tolist()
         return result

@@ -4,8 +4,12 @@ The paper reports the F1 measure because many of the evaluated data sets are
 imbalanced; the implementation here provides macro- and weighted-averaged
 precision, recall and F1 on top of a confusion matrix that can be updated
 incrementally.  A batch is counted in one pass
-(:meth:`ConfusionMatrix.counts`), and every metric of a matrix comes from its
-marginals, taken once (:class:`MatrixScores`).
+(:meth:`ConfusionMatrix.counts`).  :class:`MatrixScores` is the one scorer:
+it takes a stack of confusion matrices, reads their marginals once and
+derives every metric of every matrix in one vectorised pass.  The
+prequential evaluator scores all of a run's batches that way when the run
+ends; :class:`ConfusionMatrix`, the holdout evaluator and the ``*_score``
+functions go through the same class.
 """
 
 from __future__ import annotations
@@ -37,59 +41,85 @@ def check_average(average: str, classes: np.ndarray | None = None) -> str:
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    """Elementwise ``numerator / denominator``, and ``0.0`` where it is zero."""
+    """Elementwise ``numerator / denominator``, and ``0.0`` where it is zero.
+
+    The masked cells are never divided, so nothing is computed there to warn
+    about.
+    """
     return np.divide(
         numerator,
         denominator,
-        out=np.zeros(len(numerator)),
+        out=np.zeros(np.shape(numerator)),
         where=denominator > 0,
     )
 
 
-def _beyond(observed: float, baseline: float) -> float:
+def _beyond(observed: np.ndarray, baseline: np.ndarray) -> np.ndarray:
     """Agreement beyond a reference classifier's (the kappa family's form).
 
-    A degenerate reference, one that is already perfect, scores ``0.0``.
+    A degenerate reference, one that is already perfect, scores ``0.0``; so
+    does an empty matrix, whose observed and reference agreement are both
+    ``0.0``.
     """
-    if baseline >= 1.0:
-        return 0.0
-    return (observed - baseline) / (1.0 - baseline)
+    return np.divide(
+        observed - baseline,
+        1.0 - baseline,
+        out=np.zeros(np.shape(observed)),
+        where=baseline < 1.0,
+    )
 
 
-def _no_change_rate(y_true: np.ndarray, last_label: object | None) -> float:
-    """Accuracy of predicting each row's label as the previous row's.
+def no_change_count(y_true: np.ndarray, last_label: object | None) -> int:
+    """Rows whose true label repeats the previous row's.
 
-    The first row is a miss unless it repeats ``last_label``; ``y_true`` must
-    not be empty.
+    These are the hits of kappa-temporal's no-change classifier.  The first
+    row is compared with ``last_label`` and is a miss without one.
     """
     y_true = np.asarray(y_true)
+    if len(y_true) == 0:
+        return 0
     same = int(np.count_nonzero(y_true[1:] == y_true[:-1]))
     if last_label is not None and y_true[0] == last_label:
         same += 1
-    return same / len(y_true)
+    return same
 
 
 class MatrixScores:
-    """Every metric of one confusion matrix, from marginals taken once.
+    """Every metric of a stack of confusion matrices, from marginals taken once.
 
-    ``matrix[i, j]`` counts the rows of true class ``classes[i]`` predicted
-    as ``classes[j]``.  The row sums (support), column sums, diagonal, total
-    and accuracy (the observed agreement of the kappa family) are computed
-    at construction; each metric is a few operations on them.  Per-class
-    arrays follow the order of ``classes``.
+    ``matrices[b, i, j]`` counts the rows of matrix ``b`` of true class
+    ``classes[i]`` predicted as ``classes[j]``; one matrix is the stack of
+    one (:meth:`ConfusionMatrix.scores`).  The row sums (support), column
+    sums, diagonal, total and accuracy (the observed agreement of the kappa
+    family) are computed at construction.  Each metric is a few vectorised
+    operations on them and returns one value per matrix; per-class arrays
+    hold one row per matrix, in the order of ``classes``.
+
+    A matrix scores the same, bit for bit, in any stack.  Every marginal is
+    a sum of integer counts, so it is exact in any order, and the ratios are
+    elementwise.  The two inexact reductions run per matrix: weighted F1
+    sums one row of products per matrix, and macro F1 averages each
+    matrix's present classes as one row of a block of the matrices with as
+    many present classes.
     """
 
     __slots__ = ("classes", "support", "predicted", "correct", "total", "observed")
 
-    def __init__(self, matrix: np.ndarray, classes: np.ndarray) -> None:
-        self.classes = classes
-        self.support = matrix.sum(axis=1)
-        self.predicted = matrix.sum(axis=0)
-        self.correct = matrix.diagonal()
-        self.total = float(self.support.sum())
-        self.observed = float(self.correct.sum()) / self.total if self.total else 0.0
+    def __init__(self, matrices: np.ndarray, classes: np.ndarray) -> None:
+        self.classes = np.asarray(classes)
+        size = len(self.classes)
+        if matrices.ndim != 3 or matrices.shape[1:] != (size, size):
+            raise ValueError(
+                f"Expected a stack of {size}x{size} matrices, got shape "
+                f"{matrices.shape}."
+            )
+        self.support: np.ndarray = matrices.sum(axis=2)
+        self.predicted: np.ndarray = matrices.sum(axis=1)
+        self.correct: np.ndarray = matrices.diagonal(axis1=1, axis2=2)
+        self.total: np.ndarray = self.support.sum(axis=1)
+        self.observed = _ratio(self.correct.sum(axis=1), self.total)
 
-    def accuracy(self) -> float:
+    def accuracy(self) -> np.ndarray:
         return self.observed
 
     def per_class_precision(self) -> np.ndarray:
@@ -103,69 +133,70 @@ class MatrixScores:
         recall = self.per_class_recall()
         return _ratio(2.0 * precision * recall, precision + recall)
 
-    def average(self, per_class: np.ndarray, average: str) -> float:
-        """Average a per-class array in one of the :data:`AVERAGES` modes.
+    def average(self, per_class: np.ndarray, average: str) -> np.ndarray:
+        """Average per-class rows in one of the :data:`AVERAGES` modes.
 
         ``"macro"`` ignores classes without support, ``"weighted"`` weighs by
         support (``np.average``'s reduction, so its last bit is numpy's) and
         ``"binary"`` takes the positive class, the larger label (sklearn's
         default of ``pos_label=1`` for ``{0, 1}``), whatever the order of
-        ``classes``.
+        ``classes``.  A matrix without rows scores ``0.0``.
         """
         check_average(average, self.classes)
         if average == "macro":
             present = self.support > 0
-            if not present.any():
-                return 0.0
-            return float(per_class[present].mean())
+            n_present = np.count_nonzero(present, axis=1)
+            means = np.zeros(len(per_class))
+            for k in np.unique(n_present[n_present > 0]).tolist():
+                # Each row holds one matrix's present classes in class order,
+                # so it adds what ``per_class[present].mean()`` adds.
+                rows = n_present == k
+                block = per_class[rows][present[rows]].reshape(-1, k)
+                means[rows] = block.mean(axis=1)
+            return means
         if average == "weighted":
-            if self.total == 0:
-                return 0.0
-            return float(np.multiply(per_class, self.support).sum() / self.total)
-        return float(per_class[int(np.argmax(self.classes))])
+            return _ratio(np.multiply(per_class, self.support).sum(axis=1), self.total)
+        positive: np.ndarray = per_class[:, int(np.argmax(self.classes))]
+        return positive
 
-    def precision(self, average: str = "macro") -> float:
+    def precision(self, average: str = "macro") -> np.ndarray:
         return self.average(self.per_class_precision(), average)
 
-    def recall(self, average: str = "macro") -> float:
+    def recall(self, average: str = "macro") -> np.ndarray:
         return self.average(self.per_class_recall(), average)
 
-    def f1(self, average: str = "macro") -> float:
+    def f1(self, average: str = "macro") -> np.ndarray:
         return self.average(self.per_class_f1(), average)
 
-    def kappa(self) -> float:
+    def kappa(self) -> np.ndarray:
         """Cohen's kappa: agreement beyond a chance classifier.
 
         Chance agreement is the dot product of the row and column marginals;
-        degenerate windows (empty, or marginals that make chance agreement
+        degenerate matrices (empty, or marginals that make chance agreement
         exactly one, e.g. a single observed class) score ``0.0``.
         """
-        if self.total == 0:
-            return 0.0
-        expected = float(self.support @ self.predicted) / (self.total * self.total)
-        return _beyond(self.observed, expected)
+        chance = np.multiply(self.support, self.predicted).sum(axis=1)
+        return _beyond(self.observed, _ratio(chance, self.total * self.total))
 
-    def kappa_m(self) -> float:
+    def kappa_m(self) -> np.ndarray:
         """Kappa-M: agreement beyond the majority-class classifier.
 
         Replaces Cohen's chance term with the accuracy of always predicting
         the most frequent *true* class (Bifet et al., 2015), which is the
-        honest baseline on imbalanced streams.  Degenerate windows (empty,
+        honest baseline on imbalanced streams.  Degenerate matrices (empty,
         or a majority baseline that is already perfect) score ``0.0``.
         """
-        if self.total == 0:
-            return 0.0
-        return _beyond(self.observed, float(self.support.max()) / self.total)
+        return _beyond(self.observed, _ratio(self.support.max(axis=1), self.total))
 
-    def kappa_temporal(
-        self, y_true: np.ndarray, last_label: object | None = None
-    ) -> float:
-        """Kappa-temporal of the rows counted here (see
-        :func:`kappa_temporal_score`); ``y_true`` are their true labels in
-        stream order."""
-        if self.total == 0:
-            return 0.0
-        return _beyond(self.observed, _no_change_rate(y_true, last_label))
+    def kappa_temporal(self, no_change: np.ndarray) -> np.ndarray:
+        """Kappa-temporal (see :func:`kappa_temporal_score`).
+
+        ``no_change[b]`` counts the rows of matrix ``b`` whose true label
+        repeats the previous one (:func:`no_change_count`).  Degenerate
+        matrices (empty, or a no-change baseline that is already perfect)
+        score ``0.0``.
+        """
+        return _beyond(self.observed, _ratio(np.asarray(no_change), self.total))
 
 
 class ConfusionMatrix(PersistableStateMixin):
@@ -225,37 +256,28 @@ class ConfusionMatrix(PersistableStateMixin):
         return float(self.matrix.sum())
 
     def scores(self) -> MatrixScores:
-        """The metrics of the counts so far."""
-        return MatrixScores(self.matrix, self.classes)
+        """The metrics of the counts so far, as a stack of one matrix."""
+        return MatrixScores(self.matrix[np.newaxis], self.classes)
 
     def accuracy(self) -> float:
-        return self.scores().accuracy()
-
-    def per_class_precision(self) -> np.ndarray:
-        return self.scores().per_class_precision()
-
-    def per_class_recall(self) -> np.ndarray:
-        return self.scores().per_class_recall()
-
-    def per_class_f1(self) -> np.ndarray:
-        return self.scores().per_class_f1()
+        return float(self.scores().accuracy()[0])
 
     def precision(self, average: str = "macro") -> float:
-        return self.scores().precision(average)
+        return float(self.scores().precision(average)[0])
 
     def recall(self, average: str = "macro") -> float:
-        return self.scores().recall(average)
+        return float(self.scores().recall(average)[0])
 
     def f1(self, average: str = "macro") -> float:
-        return self.scores().f1(average)
+        return float(self.scores().f1(average)[0])
 
     def kappa(self) -> float:
         """Cohen's kappa (see :meth:`MatrixScores.kappa`)."""
-        return self.scores().kappa()
+        return float(self.scores().kappa()[0])
 
     def kappa_m(self) -> float:
         """Kappa-M (see :meth:`MatrixScores.kappa_m`)."""
-        return self.scores().kappa_m()
+        return float(self.scores().kappa_m()[0])
 
 
 def _matrix_from(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
@@ -316,11 +338,6 @@ def kappa_temporal_score(
     row counts as a no-change miss.  Degenerate windows (empty, or a
     no-change baseline that is already perfect) score ``0.0``.
     """
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if len(y_true) != len(y_pred):
-        raise ValueError("y_true and y_pred have inconsistent lengths.")
-    if len(y_true) == 0:
-        return 0.0
-    observed = float(np.mean(y_true == y_pred))
-    return _beyond(observed, _no_change_rate(y_true, last_label))
+    no_change = np.array([no_change_count(y_true, last_label)])
+    scores = _matrix_from(y_true, y_pred).scores()
+    return float(scores.kappa_temporal(no_change)[0])

@@ -6,9 +6,13 @@ the current model (predictions are scored) and then to train it.  Per
 iteration the evaluator records the F1 measure, the accuracy, the kappa
 statistics (Cohen, kappa-M, kappa-temporal), the model's complexity (number
 of splits and parameters under the paper's counting rules) and the
-wall-clock time of the test+train step.  Each batch is counted once into a
-confusion matrix, which is added to the run's overall matrix and scored on
-its own; every per-iteration metric comes from that one matrix.
+wall-clock time of the test+train step.  A step keeps two things per scored
+batch: its confusion matrix, counted once and added to the run's overall
+matrix, and its no-change count (the one further input kappa-temporal
+needs).  The metric traces are filled when the run ends, by one
+:class:`~repro.evaluation.metrics.MatrixScores` pass over the stacked
+matrices; each batch scores exactly as it would on its own.  The time of a
+step is its prediction, counting and training; the scoring is not in it.
 
 Beyond the paper's protocol the evaluator understands *label realism*
 (:func:`repro.streams.scenarios.label_realism`): streams wrapped in a
@@ -21,7 +25,8 @@ protocol reduces exactly (bit-for-bit) to the paper's test-then-train loop.
 
 The evaluation loop itself lives in :class:`PrequentialSession`, which is
 persistable mid-run: a session saved after any batch and loaded elsewhere
-continues to the identical result, pending delayed labels included.
+continues to the identical result, pending delayed labels included.  A
+session saved mid-run holds its scored batches' counts, not partial traces.
 """
 
 from __future__ import annotations
@@ -33,7 +38,12 @@ import numpy as np
 
 from repro.base import StreamClassifier
 from repro.evaluation.complexity import sliding_window_aggregate, summarize_trace
-from repro.evaluation.metrics import ConfusionMatrix, MatrixScores, check_average
+from repro.evaluation.metrics import (
+    ConfusionMatrix,
+    MatrixScores,
+    check_average,
+    no_change_count,
+)
 from repro.persistence.mixin import PersistableStateMixin
 from repro.streams.base import Stream
 from repro.streams.scenarios import LabelRealism, label_realism
@@ -172,10 +182,12 @@ class PrequentialSession(PersistableStateMixin):
 
     Construct, then either :meth:`run` to completion or call :meth:`step`
     batch by batch.  The session is persistable between any two batches
-    (model, stream position, traces, pending delayed labels and the
-    kappa-temporal threading all round-trip through
+    (model, stream position, the scored batches' counts, pending delayed
+    labels and the kappa-temporal threading all round-trip through
     :mod:`repro.persistence`), and a resumed session finishes with the
-    bit-identical :class:`PrequentialResult` of an uninterrupted one.
+    bit-identical :class:`PrequentialResult` of an uninterrupted one.  The
+    result's metric traces stay empty until the run ends: the step that
+    finishes it scores every batch at once.
 
     Label realism is read from the stream's transform stack once at
     construction: rows whose label never arrives are excluded from scoring
@@ -225,6 +237,10 @@ class PrequentialSession(PersistableStateMixin):
             or getattr(stream, "name", type(stream).__name__),
         )
         self.confusion = ConfusionMatrix(stream.classes)
+        #: Each scored batch's confusion matrix and no-change count, in
+        #: stream order, until the end of the run scores them.
+        self.batch_counts: list[np.ndarray] = []
+        self.no_change: list[int] = []
         self.fitted = False
         self.finished = False
         #: Previous arrived true label (kappa-temporal's no-change reference).
@@ -247,14 +263,14 @@ class PrequentialSession(PersistableStateMixin):
         """Run one test-then-train batch; ``False`` once the run is over.
 
         The final call (the one that returns ``False``) finalises the run:
-        pending delayed labels are flushed into training and the overall
-        confusion matrix and completion telemetry are recorded.
+        pending delayed labels are flushed into training, every scored
+        batch is scored, and the overall confusion matrix and completion
+        telemetry are recorded.
         """
         if not self._has_more():
             self._finalize()
             return False
         result = self.result
-        classes = self.confusion.classes
         X, y = self.stream.next_sample(self.batch_size)
         start_index = self.stream.position - len(y)
         realism = self.realism
@@ -271,14 +287,8 @@ class PrequentialSession(PersistableStateMixin):
                 y_scored, pred_scored = y[available], predictions[available]
             batch = self.confusion.counts(y_scored, pred_scored)
             self.confusion.matrix += batch
-            scores = MatrixScores(batch, classes)
-            result.f1_trace.append(scores.f1(self.f1_average))
-            result.accuracy_trace.append(scores.accuracy())
-            result.kappa_trace.append(scores.kappa())
-            result.kappa_m_trace.append(scores.kappa_m())
-            result.kappa_temporal_trace.append(
-                scores.kappa_temporal(y_scored, self.last_label)
-            )
+            self.batch_counts.append(batch)
+            self.no_change.append(no_change_count(y_scored, self.last_label))
             result.n_scored_samples += len(y_scored)
         self._train(X, y, start_index, available)
         elapsed = time.perf_counter() - started
@@ -366,6 +376,16 @@ class PrequentialSession(PersistableStateMixin):
                     model=result.model_name,
                     dataset=result.dataset_name,
                 )
+        if self.batch_counts:
+            scores = MatrixScores(np.stack(self.batch_counts), self.confusion.classes)
+            result.f1_trace.extend(scores.f1(self.f1_average).tolist())
+            result.accuracy_trace.extend(scores.accuracy().tolist())
+            result.kappa_trace.extend(scores.kappa().tolist())
+            result.kappa_m_trace.extend(scores.kappa_m().tolist())
+            result.kappa_temporal_trace.extend(
+                scores.kappa_temporal(np.array(self.no_change)).tolist()
+            )
+            self.batch_counts, self.no_change = [], []
         result.overall_confusion = self.confusion
         self.finished = True
         if TELEMETRY.enabled:

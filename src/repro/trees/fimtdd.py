@@ -342,12 +342,17 @@ class FIMTDDClassifier(TreeClassifier):
                         continue
                     child = node.children[branch]
                     if child is None:
-                        child = self._new_leaf(depth=node.depth + 1)
-                        node.children[branch] = child
+                        # A split node without the routed child (a hand-edited
+                        # model file): the tree has learned nothing there, so
+                        # the rows get a uniform row.  Prediction creates no
+                        # node and draws nothing from the model's RNG;
+                        # training (_learn_one) grows the leaf back.
+                        proba[child_rows] = 1.0 / self.n_classes_
+                        continue
                     stack.append((child, child_rows))
                 continue
             proba[rows] = node.model.predict_proba(X[rows])
-        # Every row holds a leaf's full softmax row or [1 - p, p], so none
-        # sums to 0.
+        # Every row holds a leaf's full softmax row, [1 - p, p] or a uniform
+        # row, so none sums to 0.
         row_sums = proba.sum(axis=1, keepdims=True)
         return proba / row_sums

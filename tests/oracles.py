@@ -40,6 +40,7 @@ from repro.drift.adwin import ADWIN
 from repro.ensembles.adaptive_random_forest import AdaptiveRandomForestClassifier
 from repro.ensembles.bagging import OzaBaggingClassifier
 from repro.ensembles.leveraging_bagging import LeveragingBaggingClassifier
+from repro.evaluation.metrics import MatrixScores
 from repro.linear.glm import IncrementalGLM, _softmax
 from repro.linear.naive_bayes import GaussianNaiveBayes
 from repro.telemetry import (
@@ -714,11 +715,11 @@ def fimtdd_predict_proba_per_row(model, X):
     for row, x in enumerate(X):
         node = model.root
         while isinstance(node, FIMTSplitNode):
-            child = node.children[node.branch_for(x)]
-            if child is None:
-                child = model._new_leaf(depth=node.depth + 1)
-                node.children[node.branch_for(x)] = child
-            node = child
+            node = node.children[node.branch_for(x)]
+        if node is None:
+            # A split node without the routed child: a uniform row.
+            proba[row] = 1.0 / model.n_classes_
+            continue
         leaf_proba = node.model.predict_proba(x.reshape(1, -1))[0]
         proba[row] = leaf_proba[: model.n_classes_]
     row_sums = proba.sum(axis=1, keepdims=True)
@@ -960,6 +961,84 @@ class ReferenceARF(AdaptiveRandomForestClassifier):
         return votes / row_sums
 
 
+# --------------------------------------------------------------- evaluation
+def _one_ratio(numerator, denominator):
+    return np.divide(
+        numerator, denominator, out=np.zeros(len(numerator)), where=denominator > 0
+    )
+
+
+def _one_beyond(observed, baseline):
+    if baseline >= 1.0:
+        return 0.0
+    return (observed - baseline) / (1.0 - baseline)
+
+
+class OneMatrixScores(MatrixScores):
+    """Every metric of one confusion matrix: the per-batch scorer.
+
+    The prequential evaluator built one of these per scored batch before
+    ``MatrixScores`` scored a whole stack of matrices at once.  It takes one
+    matrix, and each metric is a Python float; kappa-temporal takes the
+    batch's true labels and the label before them.  ``precision``,
+    ``recall`` and ``f1`` are the product's, dispatching to these kernels.
+    """
+
+    def __init__(self, matrix, classes):
+        self.classes = classes
+        self.support = matrix.sum(axis=1)
+        self.predicted = matrix.sum(axis=0)
+        self.correct = matrix.diagonal()
+        self.total = float(self.support.sum())
+        self.observed = float(self.correct.sum()) / self.total if self.total else 0.0
+
+    def accuracy(self):
+        return self.observed
+
+    def per_class_precision(self):
+        return _one_ratio(self.correct, self.predicted)
+
+    def per_class_recall(self):
+        return _one_ratio(self.correct, self.support)
+
+    def per_class_f1(self):
+        precision = self.per_class_precision()
+        recall = self.per_class_recall()
+        return _one_ratio(2.0 * precision * recall, precision + recall)
+
+    def average(self, per_class, average):
+        if average == "macro":
+            present = self.support > 0
+            if not present.any():
+                return 0.0
+            return float(per_class[present].mean())
+        if average == "weighted":
+            if self.total == 0:
+                return 0.0
+            return float(np.multiply(per_class, self.support).sum() / self.total)
+        return float(per_class[int(np.argmax(self.classes))])
+
+    def kappa(self):
+        if self.total == 0:
+            return 0.0
+        expected = float(self.support @ self.predicted) / (self.total * self.total)
+        return _one_beyond(self.observed, expected)
+
+    def kappa_m(self):
+        if self.total == 0:
+            return 0.0
+        return _one_beyond(self.observed, float(self.support.max()) / self.total)
+
+    def kappa_temporal(self, y_true, last_label=None):
+        if self.total == 0:
+            return 0.0
+        y_true = np.asarray(y_true)
+        same = int(np.count_nonzero(y_true[1:] == y_true[:-1]))
+        if last_label is not None and y_true[0] == last_label:
+            same += 1
+        return _one_beyond(self.observed, same / len(y_true))
+
+
 #: Model class -> its oracle, for tests that build both from one config.
 ORACLES = {
     DynamicModelTree: ReferenceDynamicModelTree,
@@ -1000,4 +1079,15 @@ ORACLE_KERNELS = {
         "partial_fit",
     ),
     ReferenceARF: ("_make_estimator", "partial_fit", "predict_proba"),
+    OneMatrixScores: (
+        "__init__",
+        "accuracy",
+        "per_class_precision",
+        "per_class_recall",
+        "per_class_f1",
+        "average",
+        "kappa",
+        "kappa_m",
+        "kappa_temporal",
+    ),
 }

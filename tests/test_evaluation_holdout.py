@@ -6,6 +6,8 @@ import pytest
 from repro.base import ComplexityReport, StreamClassifier
 from repro.core.dmt import DynamicModelTree
 from repro.evaluation.holdout import HoldoutEvaluator
+from repro.evaluation.metrics import ConfusionMatrix
+from repro.experiments.registry import make_dataset, make_model
 from repro.streams.base import ArrayStream
 from repro.streams.realworld import make_surrogate
 
@@ -119,3 +121,46 @@ class TestHoldoutEvaluator:
         assert 0.0 <= result.f1_mean <= 1.0
         # After a couple of training periods the model should beat coin flips.
         assert result.accuracy_trace[-1] > 0.5
+
+    def test_a_consumed_stream_is_evaluated_again_in_full(self):
+        """Regression: a second evaluation on the same stream object returned
+        an empty result (0 rows trained and tested, F1 0.0).  A consumed or
+        partly consumed stream is rewound."""
+        stream = make_dataset("sea", scale=0.01, seed=1)
+        evaluator = HoldoutEvaluator(test_every=1000, test_size=200)
+        first = evaluator.evaluate(make_model("vfdt_mc", seed=1), stream)
+        assert first.n_train_samples == 8400 and first.n_test_samples == 1600
+        second = evaluator.evaluate(make_model("vfdt_mc", seed=1), stream)
+        assert second.summary() == first.summary()
+        assert second.f1_trace == first.f1_trace
+        stream.restart()
+        stream.next_sample(700)
+        third = evaluator.evaluate(make_model("vfdt_mc", seed=1), stream)
+        assert third.summary() == first.summary()
+
+    def test_each_holdout_scores_its_own_rows(self):
+        """The end pass gives every holdout the scores of its own matrix."""
+        stream = make_surrogate("electricity", scale=0.05, seed=3)
+        model = DynamicModelTree(random_state=3)
+        tested = []
+        predict = model.predict
+
+        def recording_predict(X):
+            tested.append(predict(X))
+            return tested[-1]
+
+        model.predict = recording_predict
+        result = HoldoutEvaluator(test_every=200, test_size=50).evaluate(
+            model, stream, model_name="dmt"
+        )
+        assert len(tested) == len(result.f1_trace) > 5
+        stream.restart()
+        labels = stream.take()[1]
+        start = 0
+        for index, predictions in enumerate(tested):
+            start += 200
+            y_test = labels[start : start + len(predictions)]
+            start += len(predictions)
+            matrix = ConfusionMatrix(stream.classes).update(y_test, predictions)
+            assert result.f1_trace[index] == matrix.f1("weighted")
+            assert result.accuracy_trace[index] == matrix.accuracy()

@@ -14,9 +14,11 @@ from repro.evaluation.metrics import (
     f1_score,
     kappa_m_score,
     kappa_temporal_score,
+    no_change_count,
     precision_score,
     recall_score,
 )
+from tests.oracles import OneMatrixScores
 
 
 class TestConfusionMatrix:
@@ -339,9 +341,10 @@ labelled_batches = st.lists(
 
 
 def _scores(classes, y_true, y_pred):
-    """The scorer on one counting pass over the batch."""
+    """The scorer on one counting pass over the batch: a stack of one, so
+    every metric is an array of one value."""
     counts = ConfusionMatrix(classes).counts(y_true, y_pred)
-    return MatrixScores(counts, np.asarray(classes))
+    return MatrixScores(counts[np.newaxis], np.asarray(classes))
 
 
 class TestKappaMetrics:
@@ -366,24 +369,24 @@ class TestKappaMetrics:
         averages = ["macro", "weighted"] + (["binary"] if len(classes) == 2 else [])
         for average in averages:
             expected = _f1_reference(classes, y_true, y_pred, average)
-            assert scores.f1(average) == pytest.approx(expected, abs=1e-12)
-            assert matrix.f1(average) == scores.f1(average)
+            assert scores.f1(average)[0] == pytest.approx(expected, abs=1e-12)
+            assert matrix.f1(average) == scores.f1(average)[0]
         for average in ("macro", "weighted"):
             assert f1_score(y_true, y_pred, average) == pytest.approx(
                 _f1_reference(classes, y_true, y_pred, average), abs=1e-12
             )
         expected = _accuracy_reference(y_true, y_pred)
-        assert scores.accuracy() == pytest.approx(expected, abs=1e-12)
+        assert scores.accuracy()[0] == pytest.approx(expected, abs=1e-12)
         assert accuracy_score(y_true, y_pred) == pytest.approx(expected, abs=1e-12)
 
     @given(batch=labelled_batches)
     @settings(max_examples=120, deadline=None)
     def test_weighted_f1_keeps_numpys_average_reduction(self, batch):
         scores = _scores(*batch)
-        if scores.total:
-            per_class = scores.per_class_f1()
-            assert scores.f1("weighted") == float(
-                np.average(per_class, weights=scores.support)
+        if scores.total[0]:
+            per_class = scores.per_class_f1()[0]
+            assert scores.f1("weighted")[0] == float(
+                np.average(per_class, weights=scores.support[0])
             )
 
     @given(batch=labelled_batches)
@@ -392,7 +395,7 @@ class TestKappaMetrics:
         classes, y_true, y_pred = batch
         expected = _kappa_reference(y_true, y_pred)
         assert cohen_kappa_score(y_true, y_pred) == pytest.approx(expected, abs=1e-12)
-        assert _scores(*batch).kappa() == pytest.approx(expected, abs=1e-12)
+        assert _scores(*batch).kappa()[0] == pytest.approx(expected, abs=1e-12)
 
     @given(batch=labelled_batches)
     @settings(max_examples=120, deadline=None)
@@ -400,7 +403,7 @@ class TestKappaMetrics:
         classes, y_true, y_pred = batch
         expected = _kappa_m_reference(y_true, y_pred)
         assert kappa_m_score(y_true, y_pred) == pytest.approx(expected, abs=1e-12)
-        assert _scores(*batch).kappa_m() == pytest.approx(expected, abs=1e-12)
+        assert _scores(*batch).kappa_m()[0] == pytest.approx(expected, abs=1e-12)
 
     @given(batch=labelled_batches, data=st.data())
     @settings(max_examples=120, deadline=None)
@@ -413,8 +416,8 @@ class TestKappaMetrics:
         ) == pytest.approx(expected, abs=1e-12)
         scores = _scores(*batch)
         assert scores.kappa_temporal(
-            np.asarray(y_true), last_label
-        ) == pytest.approx(expected, abs=1e-12)
+            [no_change_count(np.asarray(y_true), last_label)]
+        )[0] == pytest.approx(expected, abs=1e-12)
 
     @given(batch=labelled_batches)
     @settings(max_examples=60, deadline=None)
@@ -424,7 +427,7 @@ class TestKappaMetrics:
         assert kappa_m_score(y_true, y_pred) <= 1.0
         assert kappa_temporal_score(y_true, y_pred) <= 1.0
         scores = _scores(*batch)
-        assert max(scores.kappa(), scores.kappa_m()) <= 1.0
+        assert max(scores.kappa()[0], scores.kappa_m()[0]) <= 1.0
 
     def test_perfect_agreement_scores_one(self):
         y = [0, 1, 2, 0, 1, 2, 2, 0]
@@ -485,3 +488,127 @@ class TestKappaMetrics:
         matrix.update(y_true, y_pred)
         assert matrix.kappa() == pytest.approx(cohen_kappa_score(y_true, y_pred))
         assert matrix.kappa_m() == pytest.approx(kappa_m_score(y_true, y_pred))
+
+
+# ---------------------------------------------------------------------------
+# The stacked scorer against the per-batch scorer, bit for bit
+# ---------------------------------------------------------------------------
+@st.composite
+def labelled_stacks(draw, min_classes=2, max_classes=30):
+    """Unsorted class spaces of 2-30 labels and 1-50 batches of 0-150 rows:
+    empty batches, batches missing most classes, and batches where every
+    class is present."""
+    classes = draw(
+        st.lists(
+            st.integers(-1000, 1000),
+            min_size=min_classes,
+            max_size=max_classes,
+            unique=True,
+        )
+    )
+    n_batches = draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batches = []
+    for _ in range(n_batches):
+        kind = rng.integers(4)
+        n = 0 if kind == 0 else int(rng.integers(1, 8 if kind == 1 else 150))
+        if kind == 3:
+            # Every class present: true labels cover the whole class space.
+            y_true = rng.permutation(np.concatenate([classes, rng.choice(classes, n)]))
+        else:
+            pool = rng.choice(classes, size=int(rng.integers(1, len(classes) + 1)))
+            y_true = rng.choice(pool, size=n)
+        right = rng.random(len(y_true)) < rng.random()
+        y_pred = np.where(right, y_true, rng.choice(classes, size=len(y_true)))
+        batches.append((y_true, y_pred))
+    last_label = draw(st.one_of(st.none(), st.sampled_from(classes)))
+    return classes, batches, last_label
+
+
+def _hex(values):
+    return [float(value).hex() for value in values]
+
+
+class TestStackedScorer:
+    """``MatrixScores`` over a stack gives every matrix the per-batch
+    scorer's values (``OneMatrixScores``), compared by ``float.hex``."""
+
+    def _check(self, classes, batches, last_label):
+        counter = ConfusionMatrix(classes)
+        matrices = np.stack([counter.counts(t, p) for t, p in batches])
+        no_change = []
+        previous = []
+        for y_true, _ in batches:
+            previous.append(last_label)
+            no_change.append(no_change_count(y_true, last_label))
+            if len(y_true):
+                last_label = y_true[-1]
+        stack = MatrixScores(matrices, counter.classes)
+        ones = [OneMatrixScores(matrix, counter.classes) for matrix in matrices]
+        averages = ["macro", "weighted"] + (["binary"] if len(classes) == 2 else [])
+        for average in averages:
+            for metric in ("f1", "precision", "recall"):
+                assert _hex(getattr(stack, metric)(average)) == _hex(
+                    getattr(one, metric)(average) for one in ones
+                ), (metric, average)
+        assert _hex(stack.accuracy()) == _hex(one.accuracy() for one in ones)
+        assert _hex(stack.kappa()) == _hex(one.kappa() for one in ones)
+        assert _hex(stack.kappa_m()) == _hex(one.kappa_m() for one in ones)
+        assert _hex(stack.kappa_temporal(np.array(no_change))) == _hex(
+            one.kappa_temporal(y_true, label)
+            for one, (y_true, _), label in zip(ones, batches, previous)
+        )
+        for metric in ("per_class_precision", "per_class_recall", "per_class_f1"):
+            expected = np.stack([getattr(one, metric)() for one in ones])
+            assert getattr(stack, metric)().tobytes() == expected.tobytes(), metric
+
+    @given(stack=labelled_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_every_matrix_scores_as_on_its_own(self, stack):
+        self._check(*stack)
+
+    @given(stack=labelled_stacks(min_classes=8))
+    @settings(max_examples=60, deadline=None)
+    def test_eight_or_more_present_classes(self, stack):
+        """From nine present classes on, numpy's pairwise sum adds a row in
+        eight partial sums, not in sequence: the weighted and macro rows must
+        still add as the one matrix does."""
+        self._check(*stack)
+
+    @given(stack=labelled_stacks(max_classes=2))
+    @settings(max_examples=40, deadline=None)
+    def test_binary_average_on_two_classes(self, stack):
+        self._check(*stack)
+
+    def test_a_nine_class_row_sums_pairwise(self):
+        """A matrix whose nine per-class products add to different bits in
+        sequence than in numpy's pairwise order scores the pairwise bits."""
+        classes = np.arange(9)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            y_true = rng.permutation(np.concatenate([classes, rng.choice(9, 60)]))
+            y_pred = np.where(rng.random(69) < 0.6, y_true, rng.choice(9, 69))
+            matrix = ConfusionMatrix(classes).counts(y_true, y_pred)
+            one = OneMatrixScores(matrix, classes)
+            sequential = 0.0
+            for product in one.per_class_f1() * one.support:
+                sequential += product
+            if sequential / one.total != one.f1("weighted"):
+                break
+        else:
+            pytest.fail("no draw separates sequential from pairwise summation")
+        stack = MatrixScores(np.stack([np.zeros_like(matrix), matrix]), classes)
+        assert stack.f1("weighted")[1].hex() == one.f1("weighted").hex()
+        assert stack.f1("weighted")[1] != sequential / one.total
+
+    def test_a_stack_rejects_a_single_matrix(self):
+        with pytest.raises(ValueError, match="stack of 2x2"):
+            MatrixScores(np.zeros((2, 2)), np.array([0, 1]))
+        with pytest.raises(ValueError, match="stack of 2x2"):
+            MatrixScores(np.zeros((1, 3, 3)), np.array([0, 1]))
+
+    def test_an_empty_stack_scores_nothing(self):
+        stack = MatrixScores(np.zeros((0, 3, 3)), np.array([2, 0, 1]))
+        for values in (stack.f1("macro"), stack.f1("weighted"), stack.kappa(),
+                       stack.kappa_m(), stack.kappa_temporal(np.zeros(0))):
+            assert values.shape == (0,)

@@ -1,20 +1,25 @@
 """Tests for the prequential (test-then-train) evaluator."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.base import ComplexityReport, StreamClassifier
 from repro.core.dmt import DynamicModelTree
+from repro.evaluation import metrics, prequential
 from repro.evaluation.prequential import (
     PrequentialEvaluator,
     PrequentialResult,
     PrequentialSession,
 )
+from repro.experiments.registry import make_dataset, make_model
 from repro.streams import LabelDelayer, LabelMasker, label_realism
 from repro.streams.base import ArrayStream
 from repro.streams.realworld import make_surrogate
 from repro.streams.synthetic import SEAGenerator
-from repro.telemetry import LABEL_DELAYED_FLUSH, TELEMETRY
+from repro.telemetry import EVALUATION_COMPLETED, LABEL_DELAYED_FLUSH, TELEMETRY
+from tests.oracles import OneMatrixScores
 
 
 class _CountingClassifier(StreamClassifier):
@@ -328,3 +333,152 @@ class TestLabelRealismEvaluation:
         np.testing.assert_array_equal(
             resumed.overall_confusion.matrix, reference.overall_confusion.matrix
         )
+
+
+@pytest.fixture
+def still_clock(monkeypatch):
+    """Every step takes 0.0 s, so whole results compare by ``to_state()``."""
+    monkeypatch.setattr(
+        prequential, "time", SimpleNamespace(perf_counter=lambda: 0.0)
+    )
+
+
+class TestDeferredScoring:
+    """The traces are filled once, when the run ends, from every scored
+    batch's counts; each batch scores as the per-batch scorer scores it."""
+
+    @pytest.mark.parametrize(
+        "model, dataset, scale, average",
+        [
+            ("vfdt_mc", "covertype", 0.002, "macro"),
+            ("vfdt_mc", "kdd", 0.002, "weighted"),
+            ("dmt", "electricity", 0.02, "binary"),
+            ("dmt", "fuzz-42-3", 0.02, "weighted"),
+        ],
+    )
+    def test_traces_match_the_per_batch_scorer(
+        self, model, dataset, scale, average, monkeypatch
+    ):
+        """Each scored batch's rows, and the last arrived label before them
+        (kappa-temporal's no-change reference), are derived from the stream
+        here; fuzz-42-3 delays and masks labels, so both skip masked rows."""
+        counted, scored = [], []
+        counts = metrics.ConfusionMatrix.counts
+        stream = make_dataset(dataset, scale=scale, seed=1)
+        session = PrequentialEvaluator(batch_size=25, f1_average=average).session(
+            make_model(model, seed=1), stream
+        )
+
+        def record_counts(self, y_true, y_pred):
+            counted.append(counts(self, y_true, y_pred))
+            return counted[-1]
+
+        def record_reference(y_true, last_label=None):
+            start = (session.stream.position - 1) // 25 * 25
+            scored.append((start, np.array(y_true), last_label))
+            return metrics.no_change_count(y_true, last_label)
+
+        monkeypatch.setattr(metrics.ConfusionMatrix, "counts", record_counts)
+        monkeypatch.setattr(prequential, "no_change_count", record_reference)
+        result = session.run()
+        assert len(counted) == len(scored) == len(result.f1_trace) > 20
+
+        stream.restart()
+        labels = stream.take()[1]
+        realism = label_realism(stream)
+        arrived = (
+            realism.available(0, len(labels))
+            if realism.maskers
+            else np.ones(len(labels), dtype=bool)
+        )
+        expected = {name: [] for name in ("f1_trace", "accuracy_trace",
+                                           "kappa_trace", "kappa_m_trace",
+                                           "kappa_temporal_trace")}
+        for matrix, (start, y_true, last_label) in zip(counted, scored):
+            rows = slice(start, start + 25)
+            np.testing.assert_array_equal(y_true, labels[rows][arrived[rows]])
+            before = labels[:start][arrived[:start]]
+            assert last_label == (int(before[-1]) if len(before) else None)
+            one = OneMatrixScores(matrix, stream.classes)
+            expected["f1_trace"].append(one.f1(average))
+            expected["accuracy_trace"].append(one.accuracy())
+            expected["kappa_trace"].append(one.kappa())
+            expected["kappa_m_trace"].append(one.kappa_m())
+            expected["kappa_temporal_trace"].append(
+                one.kappa_temporal(y_true, last_label)
+            )
+        for name, values in expected.items():
+            got = getattr(result, name)
+            assert all(type(value) is float for value in got), name
+            assert [v.hex() for v in got] == [v.hex() for v in values], name
+        np.testing.assert_array_equal(
+            result.overall_confusion.matrix, np.sum(counted, axis=0)
+        )
+
+    def test_a_step_keeps_counts_and_the_end_fills_the_traces(self):
+        session = PrequentialEvaluator(batch_size=40).session(
+            _CountingClassifier(), _binary_stream(n=400)
+        )
+        for _ in range(4):
+            assert session.step()
+        assert session.result.f1_trace == [] and session.result.kappa_trace == []
+        assert len(session.batch_counts) == len(session.no_change) == 3
+        assert session.result.n_scored_samples == 120
+        session.run()
+        assert len(session.result.f1_trace) == 9
+        assert session.batch_counts == [] and session.no_change == []
+
+    def test_resume_on_a_plain_stream_is_bit_identical(self, still_clock):
+        """A session saved after several scored batches holds their counts;
+        loaded and finished, it gives the uninterrupted run's result."""
+
+        def make_session():
+            return PrequentialEvaluator(batch_size=40, f1_average="macro").session(
+                DynamicModelTree(random_state=3),
+                SEAGenerator(n_samples=800, seed=5),
+                dataset_name="sea",
+            )
+
+        reference = make_session().run()
+        session = make_session()
+        for _ in range(8):
+            assert session.step()
+        assert len(session.batch_counts) == 7
+        clone = PrequentialSession.from_state(session.to_state())
+        for kept, loaded in zip(session.batch_counts, clone.batch_counts):
+            np.testing.assert_array_equal(loaded, kept)
+        assert clone.no_change == session.no_change
+        resumed = clone.run()
+        assert resumed.to_state() == reference.to_state()
+        assert len(resumed.f1_trace) == 19
+
+    def test_the_end_pass_runs_once(self, still_clock, monkeypatch):
+        """A step after the one that returned False, and a second run(),
+        change no trace and not the overall matrix."""
+        passes = []
+
+        class CountingScores(metrics.MatrixScores):
+            __slots__ = ()
+
+            def __init__(self, matrices, classes):
+                passes.append(len(matrices))
+                super().__init__(matrices, classes)
+
+        monkeypatch.setattr(prequential, "MatrixScores", CountingScores)
+        session = PrequentialEvaluator(batch_size=40).session(
+            DynamicModelTree(random_state=3), SEAGenerator(n_samples=600, seed=5)
+        )
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            result = session.run()
+            assert passes == [14]
+            state = result.to_state()
+            assert not session.step()
+            assert session.run() is result
+            completed = TELEMETRY.events.records(EVALUATION_COMPLETED)
+        finally:
+            TELEMETRY.reset()
+        assert passes == [14]
+        assert result.to_state() == state
+        assert len(completed) == 1

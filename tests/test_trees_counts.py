@@ -9,7 +9,7 @@ every batch and every ``predict_proba`` they must equal
 both bypassing the cache, on streams that grow the class set, split,
 re-split (EFDT), swap alternates (HT-Ada), prune (FIMT-DD) and demote an
 EFDT node; and on hand-edited model files whose split node lost a child,
-which training (or FIMT-DD's ``predict_proba``) grows back.  The report is
+which training grows back and prediction leaves as it is.  The report is
 not persisted: a save/load round trip gives a byte-identical file and an
 equal report.
 """
@@ -17,7 +17,7 @@ equal report.
 import numpy as np
 import pytest
 
-from repro.persistence import load_model, save_model
+from repro.persistence import load_model, save_model, to_state
 from repro.trees.base import LeafNode
 from repro.trees.efdt import ExtremelyFastDecisionTreeClassifier
 from repro.trees.fimtdd import FIMTDDClassifier
@@ -148,8 +148,35 @@ def test_efdt_demotion_drops_the_report(monkeypatch):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_a_missing_child_grows_back(name, tmp_path):
     """A model file whose split node lost a child: the loaded model walks, and
-    the leaf that training (FIMT-DD: prediction) creates there drops the
-    report."""
+    the leaf that training creates there drops the report."""
+    loaded, rows = _cut_child_model(name, tmp_path)
+    before = loaded.complexity()
+    assert_report_is_current(loaded)
+    loaded.partial_fit(rows[:1], loaded.predict(rows[:1]))
+    assert loaded.n_leaves == before.n_leaves + 1
+    assert_report_is_current(loaded)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_prediction_through_a_missing_child_leaves_the_model_unchanged(
+    name, tmp_path
+):
+    """Prediction creates no node where a child is missing and draws nothing
+    from the model's RNG (FIMT-DD gives those rows a uniform row); the
+    probabilities are finite and sum to 1."""
+    loaded, rows = _cut_child_model(name, tmp_path)
+    state = to_state(loaded)
+    proba = loaded.predict_proba(rows)
+    assert to_state(loaded) == state
+    assert np.all(np.isfinite(proba))
+    np.testing.assert_allclose(proba.sum(axis=1), 1.0)
+    if isinstance(loaded, FIMTDDClassifier):
+        np.testing.assert_array_equal(proba, 1.0 / loaded.n_classes_)
+
+
+def _cut_child_model(name, tmp_path):
+    """A trained model reloaded from a file whose leftmost split lost its left
+    child, and the training rows that reach the cut branch."""
     model, X = train(name)
     node = model.root
     while getattr(node.children[0], "children", None) is not None:
@@ -158,18 +185,11 @@ def test_a_missing_child_grows_back(name, tmp_path):
     path = tmp_path / "cut.json"
     save_model(model, path)
     loaded = load_model(path)
-    before = loaded.complexity()
-    assert_report_is_current(loaded)
     # Rows that reach the cut branch go left at every node of the leftmost path.
     left = [X[:, split.feature] <= split.threshold for split in _leftmost_path(loaded)]
     rows = X[np.all(left, axis=0)]
     assert len(rows)
-    if isinstance(loaded, FIMTDDClassifier):
-        loaded.predict_proba(rows[:3])
-    else:
-        loaded.partial_fit(rows[:1], loaded.predict(rows[:1]))
-    assert loaded.n_leaves == before.n_leaves + 1
-    assert_report_is_current(loaded)
+    return loaded, rows
 
 
 def _leftmost_path(model):
